@@ -1,0 +1,1 @@
+"""The repository benchmark: seeded workloads, end-to-end and per-layer metrics."""
