@@ -80,7 +80,7 @@ def test_jobs_do_not_change_results():
 
 
 def test_forked_workers_inherit_warm_caches():
-    # run_batch preloads the parse and compile caches in the parent
+    # run_batch preloads the parse and kernel caches in the parent
     # before the pool forks, so workers never parse or lower anything
     # themselves — their per-job cache-miss counters must stay at zero.
     import multiprocessing

@@ -12,7 +12,7 @@ from repro.analyses import scasb_rigel
 from repro.codegen import ir, target_for
 from repro.isdl import parse_description
 from repro.machines.i8086 import descriptions as i8086
-from repro.semantics import CompiledDescription, Interpreter
+from repro.semantics import Interpreter, VectorizedDescription
 from repro.transform import Session
 
 
@@ -32,30 +32,29 @@ def test_interpret_search(benchmark):
     assert result.outputs[0] in (0, 1)
 
 
-def test_compiled_search(benchmark):
-    # Same workload as test_interpret_search on the compiled engine;
-    # comparing the two rows is the per-run view of what
-    # ``repro bench`` measures across the whole catalog.
-    compiled = CompiledDescription(i8086.scasb())
+def test_vectorized_single_lane_search(benchmark):
+    # Same workload as test_interpret_search as an N=1 vectorized run,
+    # the path every scalar caller of the default engine takes.
+    vectorized = VectorizedDescription(i8086.scasb())
     memory = {100 + i: (i * 7) % 251 for i in range(64)}
     inputs = {
         "rf": 1, "rfz": 0, "df": 0, "zf": 0,
         "di": 100, "cx": 64, "al": 250,
     }
-    result = benchmark(compiled.run, inputs, memory)
+    result = benchmark(vectorized.run, inputs, memory)
     assert result.outputs[0] in (0, 1)
     reference = Interpreter(i8086.scasb()).run(inputs, memory)
     assert result.outputs == reference.outputs
     assert result.steps == reference.steps
 
 
-def test_compile_description_lowering(benchmark):
-    # The one-time cost the compiled engine pays per distinct
+def test_vectorized_lowering(benchmark):
+    # The one-time cost the vectorized engine pays per distinct
     # description (cache-bypassing: lowers fresh every round).
-    from repro.semantics.compiler import _lower
+    from repro.semantics.vectorized import _lower_vectorized
 
     desc = i8086.scasb()
-    program = benchmark(_lower, desc)
+    program = benchmark(_lower_vectorized, desc)
     assert program.description_name == desc.name
 
 

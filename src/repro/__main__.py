@@ -759,7 +759,7 @@ def main(argv=None) -> int:
     p_batch.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help="execution engine: interp | vectorized (default: vectorized)",
     )
     p_batch.add_argument(
         "--cache-dir",
@@ -826,7 +826,7 @@ def main(argv=None) -> int:
     p_verify.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help="execution engine: interp | vectorized (default: vectorized)",
     )
     p_verify.add_argument(
         "--json", action="store_true", help="deterministic JSON report"
@@ -901,7 +901,7 @@ def main(argv=None) -> int:
     p_stats.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help="execution engine: interp | vectorized (default: vectorized)",
     )
     p_stats.add_argument(
         "--cache-dir",
@@ -1028,7 +1028,7 @@ def main(argv=None) -> int:
     p_analyze.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help="execution engine: interp | vectorized (default: vectorized)",
     )
 
     p_prove = sub.add_parser(

@@ -2,14 +2,14 @@
 
 ``repro bench`` times the differential-verification hot path — the
 same trials, the same scenario stream, the same seeds — once per
-execution engine (interpreter, compiled, vectorized) and emits a JSON
-payload (committed as ``BENCH_verify.json``) so the performance
-trajectory stays visible across PRs.  Each engine is timed cold (first
-pass after a cache clear, compile cost included) and warm (best of
+execution engine (interpreter, vectorized) and emits a JSON payload
+(committed as ``BENCH_verify.json``) so the performance trajectory
+stays visible across PRs.  Each engine is timed cold (first pass after
+a cache clear, lowering cost included) and warm (best of
 ``WARM_PASSES`` steady-state passes).  The differential gate is off
 during timing: the point is the raw engine cost, and running the
-reference engines inside a fast engine's measurement would measure
-several engines at once.
+interpreter inside the vectorized engine's measurement would measure
+both engines at once.
 
 The emitted numbers are wall-clock and therefore host-dependent; the
 *ratio* is the tracked quantity.  CI only asserts that the benchmark
@@ -22,13 +22,13 @@ import json
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..semantics.engine import ENGINE_NAMES
+from ..semantics.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from .config import _UNSET, RunConfig, resolve_config
 from .report import canonical_report_json
 from .runner import _clear_replay_cache, _replay, resolve_names
 
 #: JSON payload schema identifier.
-SCHEMA = "repro.bench/1"
+SCHEMA = "repro.bench/2"
 
 #: historical default plan of the benchmarks: 240 trials.
 _BENCH_DEFAULTS = RunConfig(trials=240)
@@ -67,19 +67,15 @@ def run_bench(
     excluded from the timings), then runs the full ``trials``-trial
     verification per entry per engine, twice over:
 
-    * a **cold** pass right after the compile caches are cleared —
-      the one-time lowering cost is part of what a fast engine
-      honestly costs, and ``seconds`` keeps reporting this pass so
-      the numbers stay comparable across payload revisions;
+    * a **cold** pass right after the kernel cache is cleared — the
+      one-time lowering cost is part of what the vectorized engine
+      honestly costs, and ``seconds`` keeps reporting this pass so the
+      numbers stay comparable across payload revisions;
     * ``WARM_PASSES`` **warm** passes whose per-entry minimum becomes
       ``warm_seconds`` — the steady-state throughput a long batch run
-      actually sees, and the basis of the ``speedups`` block.
-
-    The legacy top-level ``speedup`` stays the cold interp/compiled
-    ratio; ``speedups`` reports the warm ratios for every fast engine
-    against both references.
+      actually sees, and the basis of the ``speedups`` block, which
+      reports the vectorized engine's warm ratio over the interpreter.
     """
-    from ..semantics.compiler import clear_compile_cache
     from ..semantics.vectorized import clear_vector_cache
     from .verify import verify_binding
 
@@ -99,7 +95,6 @@ def run_bench(
 
     engines: Dict[str, Dict[str, object]] = {}
     for engine in ENGINE_NAMES:
-        clear_compile_cache()
         clear_vector_cache()
         engine_cfg = cfg.replace(engine=engine)
 
@@ -140,15 +135,15 @@ def run_bench(
     def _ratio(num: float, den: float) -> Optional[float]:
         return round(num / den, 2) if den > 0 else None
 
-    # Prove-then-sample fast path, timed on the compiled engine: the
+    # Prove-then-sample fast path, timed on the default engine: the
     # cold pass pays for symbolic execution and the proof itself; warm
     # passes hit the content-keyed prove cache, so a proved binding
     # runs only its short confirmation window.  The tracked quantity is
-    # the warm ratio against the plain compiled sweep.
+    # the warm ratio against the same engine's plain sweep.
     from ..symbolic import clear_prove_cache
 
     clear_prove_cache()
-    symbolic_cfg = cfg.replace(engine="compiled", symbolic=True)
+    symbolic_cfg = cfg.replace(engine=DEFAULT_ENGINE, symbolic=True)
     verdicts: List[Optional[str]] = []
 
     def symbolic_pass(record_verdicts: bool) -> List[float]:
@@ -174,15 +169,10 @@ def run_bench(
             for a, b in zip(symbolic_warm, symbolic_pass(record_verdicts=False))
         ]
 
-    speedup = _ratio(_seconds("interp", "seconds"), _seconds("compiled", "seconds"))
     speedups = {
         fast: {
             "vs_interp": _ratio(
                 _seconds("interp", "warm_seconds"),
-                _seconds(fast, "warm_seconds"),
-            ),
-            "vs_compiled": _ratio(
-                _seconds("compiled", "warm_seconds"),
                 _seconds(fast, "warm_seconds"),
             ),
         }
@@ -195,10 +185,9 @@ def run_bench(
         "seed": cfg.seed,
         "analyses": len(replayed),
         "engines": engines,
-        "speedup": speedup,
         "speedups": speedups,
         "symbolic": {
-            "engine": "compiled",
+            "engine": DEFAULT_ENGINE,
             "seconds": round(sum(symbolic_cold), 4),
             "warm_seconds": round(sum(symbolic_warm), 4),
             "proved": sum(1 for v in verdicts if v == "proved"),
@@ -206,8 +195,8 @@ def run_bench(
             "unknown": sum(
                 1 for v in verdicts if v not in (None, "proved", "refuted")
             ),
-            "speedup_vs_compiled": _ratio(
-                _seconds("compiled", "warm_seconds"), sum(symbolic_warm)
+            "speedup_vs_plain": _ratio(
+                _seconds(DEFAULT_ENGINE, "warm_seconds"), sum(symbolic_warm)
             ),
         },
     }

@@ -359,13 +359,13 @@ def _clear_replay_cache() -> None:
 
 
 def _cache_miss_count() -> int:
-    """Total parse + compile cache misses in this process so far."""
+    """Total parse + kernel cache misses in this process so far."""
     from ..isdl.cache import cache_stats
-    from ..semantics.compiler import compile_cache_stats
+    from ..semantics.vectorized import vector_cache_stats
 
     return (
         sum(stats["misses"] for stats in cache_stats().values())
-        + compile_cache_stats()["misses"]
+        + vector_cache_stats()["misses"]
     )
 
 
@@ -374,15 +374,15 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
 
     On platforms that fork (the Linux default), worker processes
     inherit the parent's memory copy-on-write, so replaying each
-    analysis and compiling its final descriptions *once* here means no
-    worker ever parses or compiles cold — ``execute_shard``'s
+    analysis and lowering its final descriptions *once* here means no
+    worker ever parses or lowers cold — ``execute_shard``'s
     ``cache_misses`` accounting stays at zero per worker, which
-    ``benchmarks/test_batch_runner.py`` asserts.
+    ``tests/analysis/test_preload.py`` asserts.
 
     Per-entry failures are swallowed: a broken analysis must surface as
     that entry's structured job record, not abort the whole batch here.
     """
-    from ..semantics.compiler import compile_description
+    from ..semantics.vectorized import compile_vectorized
 
     seen = set()
     for spec in specs:
@@ -392,8 +392,8 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
         try:
             module, outcome = _replay(spec.name)
             if spec.engine != "interp" and outcome.succeeded and outcome.binding:
-                compile_description(outcome.binding.final_operator)
-                compile_description(outcome.binding.augmented_instruction)
+                compile_vectorized(outcome.binding.final_operator)
+                compile_vectorized(outcome.binding.augmented_instruction)
             if spec.symbolic and outcome.succeeded and outcome.binding:
                 scenario = getattr(module, "SCENARIO", None)
                 if scenario is not None:

@@ -235,12 +235,12 @@ def verify_binding(
     whether it runs in shard 0 of 1 or shard 3 of 4 — see
     :class:`repro.semantics.randomgen.ScenarioStream`).
 
-    ``engine`` selects the execution substrate (compiled by default;
-    the interpreter stays the reference semantics; ``vectorized`` runs
-    the whole trial window as one wide batch per description) and
-    ``gate`` how often fast-engine runs are cross-checked against the
-    reference engines — ``always`` unless the caller says otherwise,
-    so any miscompilation surfaces as
+    ``engine`` selects the execution substrate (``vectorized`` by
+    default, which runs the whole trial window as one wide batch per
+    description; ``interp`` is the reference semantics) and ``gate``
+    how often vectorized lanes are cross-checked against the
+    interpreter — ``always`` unless the caller says otherwise, so any
+    miscompilation surfaces as
     :class:`~repro.semantics.engine.EngineMismatchError` before a
     verdict is reported.
 

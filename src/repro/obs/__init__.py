@@ -1,6 +1,6 @@
 """Observability: process-local metrics behind a zero-cost switch.
 
-The instrumented hot paths (parse/compile caches, execution engines,
+The instrumented hot paths (parse/kernel caches, execution engines,
 verification, the batch runner, the provenance store) all report
 through the module-level helpers here — :func:`inc`,
 :func:`gauge_set`, :func:`observe`, :func:`span` — which forward to

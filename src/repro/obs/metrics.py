@@ -86,10 +86,11 @@ COUNTERS: Dict[str, str] = {
         "Parse-cache lookups that ran the parser, by parser namespace."
     ),
     "repro_compile_cache_hits_total": (
-        "Compile-cache lookups served from the content-keyed memo."
+        "Vectorized kernel-cache lookups served from the content-keyed "
+        "memo."
     ),
     "repro_compile_cache_misses_total": (
-        "Compile-cache lookups that lowered a description."
+        "Vectorized kernel-cache lookups that lowered a description."
     ),
     "repro_engine_runs_total": (
         "Description executions through an ExecutionEngine executor, "
@@ -100,7 +101,7 @@ COUNTERS: Dict[str, str] = {
     ),
     "repro_engine_gate_checks_total": (
         "Differential-gate cross-check events; each compares one "
-        "primary-engine trial against every reference engine."
+        "vectorized trial against the interpreter."
     ),
     "repro_engine_batch_runs_total": (
         "Batch executions through an ExecutionEngine executor, by "

@@ -45,6 +45,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -252,7 +253,18 @@ class SqliteBackend(StoreBackend):
         connection = sqlite3.connect(
             str(self.path), timeout=30.0, isolation_level=None
         )
-        connection.execute("PRAGMA journal_mode=WAL")
+        # Switching a fresh file to WAL needs an exclusive lock, and
+        # sqlite can report it locked at once instead of waiting out the
+        # busy timeout while other processes open the same new store.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute("PRAGMA busy_timeout=30000")
         for statement in self._SCHEMA:

@@ -7,13 +7,6 @@ generation used by the differential-testing verifier in
 :mod:`repro.analysis.verify`.
 """
 
-from .compiler import (
-    CompiledDescription,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_description,
-    run_compiled,
-)
 from .engine import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
@@ -63,7 +56,6 @@ from .values import (
 
 __all__ = [
     "AssertionFailed",
-    "CompiledDescription",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
     "EngineMismatchError",
@@ -72,10 +64,6 @@ __all__ = [
     "Interpreter",
     "StepLimitExceeded",
     "UnknownEngineError",
-    "clear_compile_cache",
-    "compile_cache_stats",
-    "compile_description",
-    "run_compiled",
     "run_description",
     "BatchResult",
     "ScenarioBatch",

@@ -1,27 +1,22 @@
 """Execution-engine selection for everything that runs ISDL.
 
-Three engines execute descriptions:
+Two engines execute descriptions:
 
 * ``interp`` — the big-step tree-walking interpreter
   (:mod:`repro.semantics.interpreter`), the *reference* semantics;
-* ``compiled`` — generated native Python closures
-  (:mod:`repro.semantics.compiler`), the fast scalar default;
 * ``vectorized`` — generated batch kernels
   (:mod:`repro.semantics.vectorized`) that run N machine states at
   once over numpy arrays (or a pure-python vector fallback), with
-  ``repeat``/``exit_when`` handled by active-lane masks.
+  ``repeat``/``exit_when`` handled by active-lane masks.  A scalar run
+  is an N=1 batch.  This is the default engine.
 
-The fast engines exist purely for speed, so their correctness is
+The vectorized engine exists purely for speed, so its correctness is
 enforced structurally rather than trusted: a **differential gate**
-cross-checks their runs against the slower engines on a seeded sample
-of trials.  For ``compiled`` the check is two-way (against the
-interpreter); for ``vectorized`` it is three-way — each sampled lane
-is re-run under *both* the compiled engine and the interpreter and all
-three observations must agree.  Tests run with the gate ``always`` on;
-the batch runner samples (first trial of every executor plus roughly
-one in ``gate_period``); benchmarks turn it ``off`` to measure raw
-engine speed.  Any disagreement — outputs, final memory, registers,
-step count, or exception behaviour — raises
+re-runs a seeded sample of its lanes under the interpreter.  Tests run
+with the gate ``always`` on; the batch runner samples (first trial of
+every executor plus roughly one in ``gate_period``); benchmarks turn
+it ``off`` to measure raw engine speed.  Any disagreement — outputs,
+final memory, registers, step count, or exception behaviour — raises
 :class:`EngineMismatchError` *before* any verification verdict can be
 reported.
 """
@@ -34,7 +29,6 @@ from typing import Any, Mapping, Optional, Tuple, Union
 from .. import obs
 from ..isdl import ast
 from ..isdl.errors import SemanticError
-from .compiler import CompiledDescription
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
@@ -45,12 +39,12 @@ from .randomgen import ScenarioBatch, derive_seed
 from .vectorized import BatchResult, VectorizedDescription
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
-ENGINE_NAMES: Tuple[str, ...] = ("interp", "compiled", "vectorized")
+ENGINE_NAMES: Tuple[str, ...] = ("interp", "vectorized")
 
 #: The engine used when nothing is selected.  The interpreter remains
-#: the reference semantics; the compiled engine is the verification
+#: the reference semantics; the vectorized engine is the verification
 #: substrate (see DESIGN.md §2).
-DEFAULT_ENGINE = "compiled"
+DEFAULT_ENGINE = "vectorized"
 
 #: Gate modes, from most to least paranoid.
 GATE_MODES: Tuple[str, ...] = ("always", "sampled", "off")
@@ -66,11 +60,10 @@ class UnknownEngineError(ValueError):
 
 
 class EngineMismatchError(Exception):
-    """A fast engine disagreed with a reference engine.
+    """The vectorized engine disagreed with the interpreter.
 
-    This is a *bug in the compiler or vectorizer*, never in the
-    description under test — it aborts the run instead of producing a
-    verdict.
+    This is a *bug in the vectorizer*, never in the description under
+    test — it aborts the run instead of producing a verdict.
     """
 
 
@@ -104,17 +97,16 @@ def _lane_memory(memory, lane: int):
 
 
 class _GatedExecutor:
-    """A fast engine wrapped with reference cross-checks.
+    """The vectorized engine wrapped with interpreter cross-checks.
 
     Each executor numbers the trials it runs; a trial is checked when
     the gate is ``always``, or — under ``sampled`` — when it is the
     executor's first trial or its seeded draw lands on the sampling
     period.  The draw derives from the description name and trial
     index, so which trials are checked is deterministic across
-    processes, independent of sharding order, and — for the vectorized
-    engine — identical whether trials arrive one at a time or as a
-    batch (lane ``i`` of a batch starting at trial ``t`` is trial
-    ``t + i``).
+    processes, independent of sharding order, and identical whether
+    trials arrive one at a time or as a batch (lane ``i`` of a batch
+    starting at trial ``t`` is trial ``t + i``).
     """
 
     def __init__(
@@ -124,22 +116,9 @@ class _GatedExecutor:
         gate: str,
         gate_seed: int,
         gate_period: int,
-        engine: str = "compiled",
     ):
-        interp = Interpreter(description, max_steps=max_steps)
-        compiled = CompiledDescription(description, max_steps=max_steps)
-        if engine == "vectorized":
-            self._primary = VectorizedDescription(
-                description, max_steps=max_steps
-            )
-            self._references = (
-                ("the compiled engine", "compiled", compiled),
-                ("the interpreter", "interpreted", interp),
-            )
-        else:
-            self._primary = compiled
-            self._references = (("interpreter", "interpreted", interp),)
-        self._engine = engine
+        self._primary = VectorizedDescription(description, max_steps=max_steps)
+        self._reference = Interpreter(description, max_steps=max_steps)
         self._name = description.name
         self._gate = gate
         self._gate_seed = gate_seed
@@ -159,26 +138,15 @@ class _GatedExecutor:
         return draw % self._gate_period == 0
 
     def _compare(self, got, inputs, memory, index: int) -> None:
-        """Cross-check one observation against every reference engine."""
+        """Cross-check one observation against the interpreter."""
         obs.inc("repro_engine_gate_checks_total")
-        for title, label, reference in self._references:
-            want = _observe(reference, inputs, memory)
-            if got[:3] != want[:3]:
-                raise EngineMismatchError(
-                    "%s engine disagrees with %s on %r "
-                    "(trial %d, inputs %r): %s %r vs %s %r"
-                    % (
-                        self._engine,
-                        title,
-                        self._name,
-                        index,
-                        dict(inputs),
-                        self._engine,
-                        got[:3],
-                        label,
-                        want[:3],
-                    )
-                )
+        want = _observe(self._reference, inputs, memory)
+        if got[:3] != want[:3]:
+            raise EngineMismatchError(
+                "vectorized engine disagrees with the interpreter on %r "
+                "(trial %d, inputs %r): vectorized %r vs interpreted %r"
+                % (self._name, index, dict(inputs), got[:3], want[:3])
+            )
 
     def run(
         self,
@@ -203,10 +171,9 @@ class _GatedExecutor:
     ) -> BatchResult:
         """Run a whole batch, cross-checking the sampled lanes.
 
-        Only meaningful when the primary engine is vectorized; gated
-        lanes are re-executed scalar under every reference engine and
-        compared via :meth:`BatchResult.lane_outcome`, which has the
-        same shape ``_observe`` produces.
+        Gated lanes are re-executed by the interpreter and compared via
+        :meth:`BatchResult.lane_outcome`, which has the same shape
+        ``_observe`` produces.
         """
         base = self._trial
         result = self._primary.run_batch(inputs, memory, n=n)
@@ -225,7 +192,7 @@ class _GatedExecutor:
 
 
 class _InstrumentedExecutor:
-    """An executor counting runs and interpreter/compiled steps.
+    """An executor counting runs, steps, batches, and lanes.
 
     Only ever constructed while metrics collection is on (see
     :meth:`ExecutionEngine.executor`), so disabled runs keep the bare
@@ -275,12 +242,13 @@ class ExecutionEngine:
     Frozen and hashable so it can ride inside shard specs and be
     compared for equality in tests.  ``resolve`` accepts either an
     engine name or an existing instance, which lets every API take
-    ``engine="compiled"`` and ``engine=ExecutionEngine(...)`` alike.
+    ``engine="interp"`` and ``engine=ExecutionEngine(...)`` alike.
     """
 
     name: str = DEFAULT_ENGINE
-    #: ``always`` | ``sampled`` | ``off`` — how often compiled runs are
-    #: cross-checked against the interpreter.  Irrelevant for ``interp``.
+    #: ``always`` | ``sampled`` | ``off`` — how often vectorized runs
+    #: are cross-checked against the interpreter.  Irrelevant for
+    #: ``interp``.
     gate: str = "always"
     gate_seed: int = 1982
     gate_period: int = 16
@@ -319,19 +287,16 @@ class ExecutionEngine:
     def executor(self, description: ast.Description, max_steps: int = 200_000):
         """An object with ``run(inputs, memory) -> ExecutionResult``.
 
-        Reuse one executor for a whole trial stream: the fast engines
-        amortize their (cached) compilation, and the gate numbers
+        Reuse one executor for a whole trial stream: the vectorized
+        engine amortizes its (cached) lowering, and the gate numbers
         trials per executor.  The ``vectorized`` executor additionally
-        exposes ``run_batch(inputs, memory, n) -> BatchResult`` for
-        the wide verification path.
+        exposes ``run_batch(inputs, memory, n) -> BatchResult`` for the
+        wide verification path.
         """
         if self.name == "interp":
             inner = Interpreter(description, max_steps=max_steps)
         elif self.gate == "off":
-            if self.name == "vectorized":
-                inner = VectorizedDescription(description, max_steps=max_steps)
-            else:
-                inner = CompiledDescription(description, max_steps=max_steps)
+            inner = VectorizedDescription(description, max_steps=max_steps)
         else:
             inner = _GatedExecutor(
                 description,
@@ -339,7 +304,6 @@ class ExecutionEngine:
                 gate=self.gate,
                 gate_seed=self.gate_seed,
                 gate_period=self.gate_period,
-                engine=self.name,
             )
         if obs.enabled():
             return _InstrumentedExecutor(inner, self.name)

@@ -298,7 +298,8 @@ class ScenarioBatch:
     vectorized engine runs directly on these arrays; every scalar
     consumer can still reconstruct the exact per-trial
     :class:`Scenario` via :meth:`scenario`.  Without numpy the batch
-    degrades to a tuple of scalar draws behind the same interface.
+    holds the scalar draws, with one plain list per operand in
+    ``inputs``.
 
     The batch is provably identical to sequential draws: both paths
     evaluate the same ``(trial_seed, slot)`` counter function, so there
@@ -325,8 +326,6 @@ class ScenarioBatch:
         return int(self.image.shape[1])
 
     def lane_inputs(self, lane: int) -> Dict[str, int]:
-        if self.scenarios:
-            return dict(self.scenarios[lane].inputs)
         return {name: int(vec[lane]) for name, vec in self.inputs.items()}
 
     def lane_memory(self, lane: int) -> Dict[int, int]:
@@ -518,15 +517,19 @@ class ScenarioStream:
         is unavailable.
         """
         if _np is None:
+            scenarios = self.window(offset, count)
+            names = scenarios[0].inputs if scenarios else ()
             return ScenarioBatch(
                 spec=self.spec,
                 seed=self.seed,
                 offset=offset,
                 n=count,
-                inputs={},
+                inputs={
+                    name: [s.inputs[name] for s in scenarios] for name in names
+                },
                 image=None,
                 bases={},
-                scenarios=self.window(offset, count),
+                scenarios=scenarios,
             )
         inputs, image, bases = _batch_draw(
             self.spec, self.stream_key, offset, count

@@ -1,12 +1,13 @@
 """Batch (SIMD-style) ISDL execution engine: N trials per array op.
 
-The compiled engine (:mod:`repro.semantics.compiler`) removed per-node
-dispatch but still runs one machine state at a time, so a 240-trial
-verification pays 240 full passes over the description.  This module
-lowers a description *once* into a lane-masked kernel that executes all
-N randomized states together: registers become length-N vectors, ``Mb``
-a dense ``(N, width)`` byte image, and control flow is resolved with
-active-lane masks instead of branches:
+The big-step interpreter (:mod:`repro.semantics.interpreter`) pays
+per-node dispatch on every statement of every trial, one machine state
+at a time, so a 240-trial verification pays 240 full passes over the
+description.  This module lowers a description *once* into a
+lane-masked kernel that executes all N randomized states together:
+registers become length-N vectors, ``Mb`` a dense ``(N, width)`` byte
+image, and control flow is resolved with active-lane masks instead of
+branches:
 
 * ``if`` evaluates its condition as a boolean vector and runs both
   branches under complementary masks;
@@ -14,7 +15,7 @@ active-lane masks instead of branches:
   leaves the loop mask when its ``exit_when`` fires (or when it dies);
 * per-lane errors (step limit, failed assertions, negative addresses,
   semantic errors) retire the lane and record exactly the exception —
-  type *and* message — the scalar engines would have raised, so
+  type *and* message — the interpreter would have raised, so
   differential harnesses can compare failure reports byte-for-byte.
 
 The generated kernel is backend-polymorphic: the same source runs on
@@ -26,16 +27,16 @@ arithmetic; any batch that could exceed the guarded range escalates
 python backend, so results are *always* bit-identical to the scalar
 reference semantics.
 
-Compiled kernels are cached content-keyed beside the scalar compile
-memos (namespace ``vectorized``), and the engine facade
-(:mod:`repro.semantics.engine`) cross-checks sampled lanes against both
-scalar engines — the same trust-but-verify structure the compiled
-engine already lives under, now three-way.
+Compiled kernels are cached content-keyed beside the parse memos
+(namespace ``vectorized``), and the engine facade
+(:mod:`repro.semantics.engine`) cross-checks sampled lanes against the
+interpreter, the reference semantics.  A scalar run is an N=1 batch.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,7 +45,6 @@ from ..isdl import ast
 from ..isdl.cache import CacheStats, TextMemo
 from ..isdl.errors import SemanticError
 from ..isdl.printer import format_description
-from .compiler import DEFAULT_MAX_STEPS, _mangle, _Writer, description_text
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
@@ -62,6 +62,9 @@ except Exception:  # pragma: no cover
 
 #: True when the fast numpy backend is available.
 HAVE_NUMPY = _np is not None
+
+#: Default statement budget, matching :class:`Interpreter`.
+DEFAULT_MAX_STEPS = 200_000
 
 #: Values stored into unmasked (``integer``) slots stay within +/-2**61;
 #: anything larger escalates to the exact python backend.
@@ -547,14 +550,14 @@ class _Runtime:
 
     ``live`` tracks lanes that have not yet raised; ``errors[i]`` holds
     the (exception type name, message) a retired lane would have raised
-    under the scalar engines.  Step-budget bookkeeping is *deferred*:
+    under the interpreter.  Step-budget bookkeeping is *deferred*:
     ticks decrement a per-lane budget, but the over-budget check
     (``settle``) only runs at loop heads, before per-lane error sites,
     before calls, and at the end of the run.  This is sound because the
     budget is monotone and a should-have-stopped lane's extra effects
     are discarded with the lane — but it must happen *before* any other
     error could be recorded, so the reported exception matches the
-    scalar engines' precedence exactly.
+    interpreter's precedence exactly.
     """
 
     __slots__ = (
@@ -648,8 +651,8 @@ class _Runtime:
     def finish(self):
         live = self.settle(self.live)
         if self.pend is not None:
-            # exit_when escaped the entry routine: the scalar engines
-            # leak the internal _LoopExit signal, so these lanes do too.
+            # exit_when escaped the entry routine: the interpreter
+            # leaks the internal _LoopExit signal, so these lanes do too.
             leak = self.M.andm(live, self.pend)
             if self.M.any(leak):
                 self.kill(leak, "_LoopExit", "")
@@ -658,12 +661,43 @@ class _Runtime:
 # ---------------------------------------------------------------------------
 # lowering: ISDL -> lane-masked kernel source
 
+
+def _mangle(name: str) -> str:
+    """A collision-free Python identifier fragment for an ISDL name.
+
+    Dots (and any other non-alphanumeric character, including ``_``
+    itself) escape to ``_XX`` hex, so ``a_b`` and ``a.b`` can never
+    collide after mangling.
+    """
+    out = []
+    for ch in name:
+        if ch.isascii() and ch.isalnum():
+            out.append(ch)
+        else:
+            out.append("_%02x" % ord(ch))
+    return "".join(out)
+
+
+class _Writer:
+    """Tiny indented-source emitter."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.indent = 0
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
 #: Vector lowering templates.  Comparison operands are pre-normalized
 #: to integers and logical operands to booleans, so the same template
 #: text runs on numpy arrays and :class:`PyVec`/:class:`PyMask` alike.
-#: Module-level and mutable on purpose, mirroring the scalar compiler:
-#: miscompile-detection tests monkeypatch an entry to plant a wrong
-#: lowering and prove the three-way gate catches it.
+#: Module-level and mutable on purpose: miscompile-detection tests
+#: monkeypatch an entry to plant a wrong lowering and prove the
+#: differential gate catches it.
 _VECTOR_BINOPS: Dict[str, str] = {
     "+": "({left} + {right})",
     "-": "({left} - {right})",
@@ -954,7 +988,7 @@ class _VectorLowerer:
     def call(self, expr, mv: str):
         routine = self.routines.get(expr.name)
         if routine is None:
-            # The scalar engines raise *before* evaluating arguments.
+            # The interpreter raises *before* evaluating arguments.
             mv = self.fail(
                 mv,
                 "SemanticError",
@@ -1146,8 +1180,8 @@ class _VectorLowerer:
                     % (slot, self.as_int(val)[0], mask, mv)
                 )
             return mv
-        # Scalar engines evaluate the value (already done) and only then
-        # notice the bad name.
+        # The interpreter evaluates the value (already done) and only
+        # then notices the bad name.
         return self.fail(
             mv, "SemanticError", "assignment to undeclared name %r" % name
         )
@@ -1263,7 +1297,7 @@ class _VectorLowerer:
             out = self.tmp("_mv")
             self.w.emit("%s = M.andnot(%s, %s)" % (out, mv, csrc))
             return out
-        # exit_when outside any lexical repeat: the scalar engines raise
+        # exit_when outside any lexical repeat: the interpreter raises
         # _LoopExit through the call stack; here the lanes pend until a
         # caller's repeat (or the entry) picks them up.
         fired = self.tmp("_p")
@@ -1368,7 +1402,7 @@ def _lower_vectorized(description: ast.Description) -> VectorProgram:
     w.emit("def __run_batch__(M, _rt, _inputs):")
     w.indent += 1
     if duplicate_register is not None:
-        # Like the scalar engines, duplicate declarations fail at run
+        # Like the interpreter, duplicate declarations fail at run
         # time (when the register file is built), for every lane.
         w.emit(
             "_rt.fail(_rt.live, 'SemanticError', %r)"
@@ -1417,13 +1451,40 @@ def _lower_vectorized(description: ast.Description) -> VectorProgram:
 # content-keyed kernel cache
 
 
+#: Identity layer over :func:`format_description` for cache keys:
+#: ``id(description) -> (weakref, text)``.  Descriptions are frozen
+#: dataclasses, so the pretty-printed text of one *object* never
+#: changes; re-deriving it on every content-key lookup was the
+#: dominant cost of a warm cache hit.  The weak reference guards
+#: against id reuse and evicts entries as ASTs are collected.
+_TEXT_MEMO: Dict[int, Tuple["weakref.ref", str]] = {}
+
+
+def description_text(description: ast.Description) -> str:
+    """``format_description`` memoized per description object."""
+    key = id(description)
+    cached = _TEXT_MEMO.get(key)
+    if cached is not None and cached[0]() is description:
+        return cached[1]
+    text = format_description(description)
+    try:
+        ref = weakref.ref(
+            description, lambda _ref, _key=key: _TEXT_MEMO.pop(_key, None)
+        )
+    except TypeError:
+        return text
+    _TEXT_MEMO[key] = (ref, text)
+    return text
+
+
 class _VectorMemo:
     """Content-keyed memo from descriptions to batch kernels.
 
-    Same scheme as the scalar compile memo: SHA-256 of the
-    pretty-printed description, under the ``vectorized`` namespace, so
-    structurally identical descriptions share one lowering and the
-    cache counters aggregate with the scalar compiler's.
+    Keys are SHA-256 digests of the pretty-printed description (the
+    scheme of the parse memos in :mod:`repro.isdl.cache`, under the
+    ``vectorized`` namespace), so structurally identical descriptions
+    share one lowering and forked batch workers inherit a warm cache
+    from the parent process.
     """
 
     def __init__(self) -> None:
@@ -1505,8 +1566,8 @@ class BatchResult:
 
     ``lane_outcome`` normalizes a lane to the same shape the engine
     facade's ``_observe`` uses — ``("result", ExecutionResult)`` or
-    ``("raise", type name, message, exception)`` — so three-way
-    differential comparison is a tuple equality per lane.
+    ``("raise", type name, message, exception)`` — so differential
+    comparison is a tuple equality per lane.
     """
 
     n: int
@@ -1661,8 +1722,8 @@ class VectorizedDescription:
     """Executes one ISDL description on N machine states at once.
 
     ``run`` is a drop-in scalar interface (an N=1 batch) with the same
-    contract as :class:`Interpreter` and :class:`CompiledDescription` —
-    same results, same exceptions, same messages, same ``steps``.
+    contract as :class:`Interpreter` — same results, same exceptions,
+    same messages, same ``steps``.
     ``run_batch`` is the wide interface the verification pipeline uses.
     """
 

@@ -31,7 +31,7 @@ reads would leave the memory image (or whose address registers would
 wrap) are only tolerated when the step budget provably kills them
 first; anything else bails.  Correctness is anchored by the
 differential gate and the engine-equivalence suites, which compare
-fused results bit-for-bit against the scalar engines.
+fused results bit-for-bit against the interpreter.
 """
 
 from __future__ import annotations
@@ -599,9 +599,9 @@ class FusedPlan:
         """First iteration whose address the closed form cannot trust.
 
         For *writes* that is any address outside ``[0, width)`` — the
-        dense image cannot hold the cell the scalar engines would
+        dense image cannot hold the cell the interpreter would
         create.  For *reads* only a **negative** address is bad (the
-        scalar engines raise on it); addresses at or beyond ``width``
+        interpreter raises on it); addresses at or beyond ``width``
         read as 0 under sparse-memory semantics, which the masked
         gathers reproduce exactly.  Either way, a moving base
         register's width wrap invalidates the affine address model.
@@ -903,7 +903,10 @@ class FusedPlan:
                 _, ri, events = spec
                 value = regs[ri]
                 for delta, pos in events:
-                    value = value + delta * (fire + (pos < win_pos))
+                    # An increment at the winning exit's own position sits
+                    # in a call inside its condition, so it ran before
+                    # the test fired.
+                    value = value + delta * (fire + (pos <= win_pos))
             else:
                 _, ri, mi, pos = spec
                 execs = fire + (pos < win_pos)

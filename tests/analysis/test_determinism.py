@@ -121,14 +121,11 @@ class TestEngineDeterminism:
     def test_engines_are_byte_identical(self):
         # The execution engine is a substrate choice, not a semantic
         # one: the JSON a batch reports must not depend on it.
-        compiled = run_batch(names=self.NAMES, trials=40, seed=9, engine="compiled")
         interp = run_batch(names=self.NAMES, trials=40, seed=9, engine="interp")
         vectorized = run_batch(
             names=self.NAMES, trials=40, seed=9, engine="vectorized"
         )
-        assert compiled.to_json() == interp.to_json()
         assert vectorized.to_json() == interp.to_json()
-        assert compiled.engine == "compiled"
         assert interp.engine == "interp"
         assert vectorized.engine == "vectorized"
 
@@ -149,9 +146,6 @@ class TestEngineDeterminism:
         assert serial.to_json() == pooled.to_json()
 
     def test_verify_reports_match_across_engines(self, binding):
-        compiled = verify_binding(
-            binding, scasb_rigel.SCENARIO, trials=30, seed=3, engine="compiled"
-        )
         interp = verify_binding(
             binding, scasb_rigel.SCENARIO, trials=30, seed=3, engine="interp"
         )
@@ -163,11 +157,7 @@ class TestEngineDeterminism:
             engine="vectorized",
         )
         # Identical apart from the engine label itself.
-        assert compiled.trials == interp.trials == vectorized.trials
-        assert compiled.seed == interp.seed == vectorized.seed
-        assert compiled.offset == interp.offset == vectorized.offset
-        assert (compiled.engine, interp.engine, vectorized.engine) == (
-            "compiled",
-            "interp",
-            "vectorized",
-        )
+        assert interp.trials == vectorized.trials
+        assert interp.seed == vectorized.seed
+        assert interp.offset == vectorized.offset
+        assert (interp.engine, vectorized.engine) == ("interp", "vectorized")

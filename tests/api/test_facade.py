@@ -87,7 +87,7 @@ class TestAnalyzeAndVerifyFacade:
         assert result.verified_trials == 5
         assert result.trials == 5
         assert result.seed == 11
-        assert result.engine in ("interp", "compiled")
+        assert result.engine == "vectorized"
         assert result.failure is None
         assert result.error is None
 

@@ -74,8 +74,8 @@ class TestRunConfigValue:
 
     def test_resolve_engine_names(self):
         assert RunConfig(engine="interp").resolve_engine().name == "interp"
-        assert RunConfig(engine="compiled").resolve_engine().name == "compiled"
-        assert RunConfig().resolve_engine().name in ("interp", "compiled")
+        assert RunConfig(engine="vectorized").resolve_engine().name == "vectorized"
+        assert RunConfig().resolve_engine().name == "vectorized"
 
 
 class TestDeprecatedEntryPoints:

@@ -90,3 +90,21 @@ def copy_desc():
 @pytest.fixture
 def indexed_copy_desc():
     return parse_description(INDEXED_COPY_TEXT)
+
+
+@pytest.fixture
+def planted_vector_bug(monkeypatch):
+    """Lower vector ``-`` as ``+`` — a deliberate lowering bug.
+
+    The kernel cache is cleared on both sides of the plant so no
+    correct kernel survives into the broken world and no broken kernel
+    leaks out of it.
+    """
+    from repro.semantics import vectorized
+
+    vectorized.clear_vector_cache()
+    monkeypatch.setitem(
+        vectorized._VECTOR_BINOPS, "-", vectorized._VECTOR_BINOPS["+"]
+    )
+    yield
+    vectorized.clear_vector_cache()

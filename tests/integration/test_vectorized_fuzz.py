@@ -1,18 +1,27 @@
 """Large-scale vectorized fuzzing and failure-report parity.
 
-Two guarantees ride on the vectorized verifier:
+Three guarantees ride on the vectorized verifier:
 
 * at scale it reaches the same verdict as the scalar loop — ten
   thousand randomized machine states per instruction, across all four
   target machines, must come back clean exactly as they do scalar;
 * when a binding *is* wrong, the failure report is indistinguishable
-  from the scalar engines' — same first-failing trial, same message,
+  from the interpreter's — same first-failing trial, same message,
   same attached scenario — so a red verdict never depends on which
-  engine produced it.
+  engine produced it;
+* both hold on hosts without numpy, where every batch runs on the
+  pure-python backend over scalar scenario draws.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import RunConfig
 from repro.analysis.binding import Binding
 from repro.analysis.runner import _clear_replay_cache, _replay
 from repro.analysis.verify import VerificationFailure, verify_binding
@@ -137,7 +146,6 @@ def test_planted_defect_report_is_engine_independent():
             failure.scenario.inputs,
             failure.scenario.memory,
         )
-    assert reports["compiled"] == reports["interp"]
     assert reports["vectorized"] == reports["interp"]
     # The defect fires only above the threshold, so the reported
     # scenario must actually exhibit it.
@@ -164,6 +172,94 @@ def test_planted_defect_survives_offset_sharding():
         return None
 
     for offset, trials in ((0, 60), (60, 60), (120, 80)):
-        scalar = first_failure("compiled", offset, trials)
+        scalar = first_failure("interp", offset, trials)
         batch = first_failure("vectorized", offset, trials)
         assert batch == scalar
+
+
+# ---------------------------------------------------------------------------
+# the pure-python path, with numpy blocked in a child process
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: child prelude: a meta-path finder that refuses numpy, so the child
+#: takes the numpy-less paths even on a host that has numpy installed.
+NO_NUMPY = """
+import sys
+
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+        return None
+
+sys.meta_path.insert(0, _NoNumpy())
+from repro.semantics.vectorized import HAVE_NUMPY
+assert not HAVE_NUMPY
+"""
+
+
+def without_numpy(code, *args):
+    """Run ``code`` in a fresh interpreter that cannot import numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY + code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_no_numpy_batch_matches_interp():
+    """Without numpy, a vectorized batch reports the interpreter's bytes."""
+    names = ["scasb_rigel", "mvc_pascal", "clc_pascal", "tr_pascal", "mva_pascal"]
+    reports = {
+        engine: without_numpy(
+            "import runpy; runpy.run_module('repro', run_name='__main__')",
+            "batch", *names, "--trials", "40", "--seed", "7",
+            "--json", "--no-cache", "--engine", engine,
+        )
+        for engine in ENGINE_NAMES
+    }
+    assert reports["vectorized"] == reports["interp"]
+
+
+def test_no_numpy_planted_defect_raises_on_both_engines():
+    """Without numpy, the planted defect fails exactly as it does here."""
+    stdout = without_numpy(
+        """
+import json
+from repro.analysis import RunConfig
+from repro.analysis.verify import VerificationFailure, verify_binding
+from repro.semantics import ENGINE_NAMES
+from tests.integration.test_vectorized_fuzz import planted_binding, planted_spec
+
+reports = {}
+for engine in ENGINE_NAMES:
+    try:
+        verify_binding(
+            planted_binding(),
+            planted_spec(),
+            config=RunConfig(engine=engine, trials=200),
+            gate="off",
+        )
+    except VerificationFailure as failure:
+        reports[engine] = [str(failure), failure.scenario.inputs]
+print(json.dumps(reports))
+"""
+    )
+    reports = json.loads(stdout)
+    with pytest.raises(VerificationFailure) as excinfo:
+        verify_binding(
+            planted_binding(),
+            planted_spec(),
+            config=RunConfig(engine="interp", trials=200),
+            gate="off",
+        )
+    local = [str(excinfo.value), excinfo.value.scenario.inputs]
+    assert reports == {engine: local for engine in ENGINE_NAMES}

@@ -31,7 +31,7 @@ from repro.semantics import ExecutionEngine, derive_seed
 
 TRIALS = 25
 
-#: compiled execution with the always-on differential gate, so the
+#: vectorized execution with the always-on differential gate, so the
 #: ISDL side of every sim comparison is itself cross-checked against
 #: the reference interpreter.
 ENGINE = ExecutionEngine()

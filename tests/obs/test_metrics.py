@@ -105,11 +105,11 @@ class TestSnapshotDeterminism:
     def test_insertion_order_does_not_matter(self):
         first = MetricsRegistry()
         first.inc("repro_verify_trials_total", engine="interp")
-        first.inc("repro_verify_trials_total", engine="compiled")
+        first.inc("repro_verify_trials_total", engine="vectorized")
         first.inc("repro_compile_cache_hits_total", 3)
         second = MetricsRegistry()
         second.inc("repro_compile_cache_hits_total", 3)
-        second.inc("repro_verify_trials_total", engine="compiled")
+        second.inc("repro_verify_trials_total", engine="vectorized")
         second.inc("repro_verify_trials_total", engine="interp")
         assert first.snapshot() == second.snapshot()
 
@@ -133,7 +133,7 @@ class TestSnapshotDeterminism:
 class TestMergeAndDiff:
     def _loaded(self):
         registry = MetricsRegistry()
-        registry.inc("repro_verify_trials_total", 7, engine="compiled")
+        registry.inc("repro_verify_trials_total", 7, engine="vectorized")
         registry.inc("repro_parse_cache_hits_total", 2, namespace="isdl")
         registry.gauge_set("repro_provenance_hit_rate", 0.25)
         registry.observe("repro_phase_seconds", 0.03, phase="verify")
@@ -158,7 +158,7 @@ class TestMergeAndDiff:
     def test_diff_recovers_the_delta(self):
         registry = self._loaded()
         before = registry.snapshot()
-        registry.inc("repro_verify_trials_total", 5, engine="compiled")
+        registry.inc("repro_verify_trials_total", 5, engine="vectorized")
         registry.observe("repro_phase_seconds", 0.03, phase="verify")
         delta = diff_snapshots(before, registry.snapshot())
         assert counter_value(delta, "repro_verify_trials_total") == 5
@@ -240,7 +240,7 @@ class TestCounterAndGaugeLookups:
     def test_counter_value_sums_subset_matches(self):
         registry = MetricsRegistry()
         registry.inc("repro_verify_trials_total", 3, engine="interp")
-        registry.inc("repro_verify_trials_total", 4, engine="compiled")
+        registry.inc("repro_verify_trials_total", 4, engine="vectorized")
         snapshot = registry.snapshot()
         assert counter_value(snapshot, "repro_verify_trials_total") == 7
         assert (
@@ -275,7 +275,7 @@ class TestPrometheusExport:
 
     def test_every_line_is_valid_exposition(self):
         registry = MetricsRegistry()
-        registry.inc("repro_verify_trials_total", 3, engine="compiled")
+        registry.inc("repro_verify_trials_total", 3, engine="vectorized")
         registry.gauge_set("repro_provenance_hit_rate", 0.5)
         registry.observe("repro_phase_seconds", 0.01, phase="verify")
         text = obs.export_prometheus(registry.snapshot())

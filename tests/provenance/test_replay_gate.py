@@ -85,7 +85,7 @@ class TestApiGate:
 def plant_drift(store, name, trace, step_index=2):
     """Record a verdict whose trace lies about one step's digest."""
     entry = next(e for e in resolve_names([name]))
-    key = entry_verdict_key(entry, "compiled", 120, 1982, True)
+    key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
     payload = strip_durations(trace.to_dict())
     payload["instruction_trace"]["events"][step_index]["digest_after"] = (
         "0" * 64
@@ -120,7 +120,7 @@ class TestCliGate:
     def test_replay_prefers_stored_traces(self, tmp_path, trace, capsys):
         root = tmp_path / "cache"
         entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "compiled", 120, 1982, True)
+        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
         TraceStore(root).record_verdict(
             key,
             {
@@ -177,7 +177,7 @@ class TestTraceForResolution:
     def test_stored_wins(self, tmp_path, trace):
         store = TraceStore(tmp_path)
         entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "compiled", 120, 1982, True)
+        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
         store.record_verdict(
             key,
             {
@@ -194,7 +194,7 @@ class TestTraceForResolution:
     def test_corrupt_stored_trace_falls_back_to_fresh(self, tmp_path, trace):
         store = TraceStore(tmp_path)
         entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "compiled", 120, 1982, True)
+        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
         broken = strip_durations(trace.to_dict())
         broken["schema"] = "something/else"
         store.record_verdict(

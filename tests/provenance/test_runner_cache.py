@@ -77,7 +77,7 @@ class TestInvalidation:
 
     def test_engine_change_misses(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root, engine="compiled")
+        run_batch(names=NAMES, trials=20, cache_dir=root, engine="vectorized")
         other = run_batch(
             names=NAMES, trials=20, cache_dir=root, engine="interp"
         )

@@ -15,7 +15,7 @@ def make_key(name="demo", **overrides):
     params = dict(
         operator_digest="a" * 64,
         instruction_digest="b" * 64,
-        engine="compiled",
+        engine="vectorized",
         trials=120,
         seed=1982,
         verify=True,

@@ -1,28 +1,33 @@
-"""ISDL-to-Python compiler tests: parity, caching, and the gate.
+"""Kernel-compiler tests: parity, caching, and the gate.
 
-The compiled engine is only trustworthy because (a) it reproduces the
+The vectorized engine lowers each description to a lane-masked Python
+kernel.  It is only trustworthy because (a) it reproduces the
 interpreter's observable behaviour *exactly* — results, step counts,
-and every error message — and (b) the differential gate catches it if
-it ever stops doing so.  The planted-miscompile tests prove (b) is not
-vacuous: they break the lowering on purpose and watch the gate fire.
+and every error message — for a single trial and on every lane of a
+wide batch, and (b) the differential gate catches it if it ever stops
+doing so.  The planted-miscompile tests prove (b) is not vacuous: they
+break the lowering on purpose and watch the gate fire.
 """
 
 import pytest
 
+from repro.analysis import RunConfig
 from repro.isdl import parse_description
 from repro.isdl.errors import SemanticError
 from repro.semantics import (
     AssertionFailed,
-    CompiledDescription,
     ExecutionEngine,
     Interpreter,
     StepLimitExceeded,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_description,
+    VectorizedDescription,
+    clear_vector_cache,
+    compile_vectorized,
+    vector_cache_stats,
 )
-from repro.semantics import compiler
 from repro.semantics.engine import EngineMismatchError
+
+#: width of the multi-lane parity batch; every lane runs the same state.
+LANES = 3
 
 
 def make(body, regs="x<7:0>, y<15:0>", sections=""):
@@ -41,35 +46,37 @@ def make(body, regs="x<7:0>, y<15:0>", sections=""):
     )
 
 
-def both(description, inputs, memory=None, max_steps=200_000):
-    """Run both engines, returning comparable observations."""
-
-    def observe(executor):
-        try:
-            result = executor.run(inputs, dict(memory) if memory else None)
-            return (
-                "ok",
-                result.outputs,
-                result.memory,
-                result.registers,
-                result.steps,
-            )
-        except (StepLimitExceeded, AssertionFailed, SemanticError, ValueError) as e:
-            return ("raise", type(e).__name__, str(e))
-
-    return (
-        observe(Interpreter(description, max_steps=max_steps)),
-        observe(CompiledDescription(description, max_steps=max_steps)),
-    )
+def observe(run):
+    try:
+        result = run()
+        return ("ok", result.outputs, result.memory, result.registers, result.steps)
+    except (StepLimitExceeded, AssertionFailed, SemanticError, ValueError) as e:
+        return ("raise", type(e).__name__, str(e))
 
 
 def assert_parity(description, inputs, memory=None, max_steps=200_000):
-    interp, compiled = both(description, inputs, memory, max_steps)
-    assert compiled == interp
+    """Vectorized at N=1 and on every batch lane == the interpreter.
+
+    Returns the interpreter's observation for further checks.
+    """
+
+    def fresh():
+        return dict(memory) if memory else None
+
+    interp = Interpreter(description, max_steps=max_steps)
+    vector = VectorizedDescription(description, max_steps=max_steps)
+    want = observe(lambda: interp.run(inputs, fresh()))
+    assert observe(lambda: vector.run(inputs, fresh())) == want
+    batch = vector.run_batch(
+        {name: [value] * LANES for name, value in inputs.items()}, fresh(), n=LANES
+    )
+    for lane in range(LANES):
+        assert observe(lambda: batch.lane_raise_or_result(lane)) == want
+    return want
 
 
 class TestParity:
-    """Compiled results match the interpreter field for field."""
+    """Vectorized results match the interpreter field for field."""
 
     def test_arithmetic_and_widths(self):
         desc = make("input (x, y); x <- x + 250; y <- y * 3; output (x, y);")
@@ -119,11 +126,9 @@ class TestParity:
 
     def test_step_limit_message_and_threshold(self):
         looping = make("input (x); repeat x <- x + 1; end_repeat;")
-        interp, compiled = both(looping, {"x": 0}, max_steps=50)
-        assert compiled == interp
-        assert compiled[0] == "raise"
-        assert compiled[1] == "StepLimitExceeded"
-        assert "exceeded 50 steps" in compiled[2]
+        interp = assert_parity(looping, {"x": 0}, max_steps=50)
+        assert interp[:2] == ("raise", "StepLimitExceeded")
+        assert "exceeded 50 steps" in interp[2]
         # One step under the budget still succeeds identically.
         bounded = make(
             "input (x); repeat exit_when (x = 3); x <- x + 1; end_repeat;"
@@ -133,9 +138,7 @@ class TestParity:
 
     def test_assertion_message(self):
         desc = make("input (x); assert (x > 10); output (x);")
-        interp, compiled = both(desc, {"x": 3})
-        assert compiled == interp
-        assert compiled[1] == "AssertionFailed"
+        assert assert_parity(desc, {"x": 3})[1] == "AssertionFailed"
 
     def test_and_or_do_not_short_circuit(self):
         # Both operands evaluate even when the left decides: the memory
@@ -153,7 +156,7 @@ class TestParity:
     def test_undeclared_store_still_evaluates_value(self):
         # The interpreter evaluates the right-hand side (ticking the
         # step budget through the routine call) before the store
-        # raises, so a compiled run must do the same.
+        # raises, so a vectorized run must do the same.
         desc = make(
             "input (x); zz <- bump();",
             sections="""
@@ -246,9 +249,9 @@ class TestParity:
     def test_duplicate_register_raises_at_run_time(self):
         desc = make("input (x); output (x);", regs="x<7:0>, x<7:0>")
         # Construction succeeds for both engines; only run() raises.
-        compiled = CompiledDescription(desc)
+        vector = VectorizedDescription(desc)
         with pytest.raises(SemanticError, match="duplicate register"):
-            compiled.run({"x": 1})
+            vector.run({"x": 1})
         assert_parity(desc, {"x": 1})
 
     def test_duplicate_routine_rejected(self):
@@ -261,67 +264,50 @@ class TestParity:
             """,
         )
         with pytest.raises(SemanticError, match="duplicate routine"):
-            CompiledDescription(desc)
+            VectorizedDescription(desc)
 
 
 class TestGeneratedSource:
     def test_source_is_inspectable(self):
         desc = make("input (x); repeat exit_when (x = 0); x <- x - 1; end_repeat;")
-        source = CompiledDescription(desc).source
-        assert "def __run__" in source
-        assert "while True:" in source
-        assert "break" in source
+        source = VectorizedDescription(desc).source
+        assert "def __run_batch__" in source
+        assert "while M.any(" in source
 
     def test_register_stores_mask_inline(self):
         desc = make("input (x); x <- x + 1; output (x);")
-        assert "& 255" in CompiledDescription(desc).source
+        assert "& 255" in VectorizedDescription(desc).source
 
 
 class TestCompileCache:
     def test_structurally_identical_descriptions_share(self):
-        clear_compile_cache()
+        clear_vector_cache()
         first = make("input (x); output (x);")
         second = make("input (x); output (x);")
-        compile_description(first)
-        stats = compile_cache_stats()
+        compile_vectorized(first)
+        stats = vector_cache_stats()
         assert stats["misses"] == 1
-        compile_description(second)
-        stats = compile_cache_stats()
+        compile_vectorized(second)
+        stats = vector_cache_stats()
         assert stats == {"hits": 1, "misses": 1, "entries": 1}
-        clear_compile_cache()
-        assert compile_cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
-
-
-@pytest.fixture
-def planted_miscompile(monkeypatch):
-    """Lower ``-`` as ``+`` — a deliberate codegen bug.
-
-    The compile cache is cleared on both sides of the plant so no
-    correct program survives into the broken world and no broken
-    program leaks out of it.
-    """
-    clear_compile_cache()
-    monkeypatch.setitem(
-        compiler._BINOP_TEMPLATES, "-", compiler._BINOP_TEMPLATES["+"]
-    )
-    yield
-    clear_compile_cache()
+        clear_vector_cache()
+        assert vector_cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
 
 
 class TestDifferentialGate:
-    def test_gate_fires_on_planted_miscompile(self, planted_miscompile):
+    def test_gate_fires_on_planted_miscompile(self, planted_vector_bug):
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine().executor(desc)
         with pytest.raises(EngineMismatchError) as excinfo:
             executor.run({"x": 5})
         assert "t.op" in str(excinfo.value)
 
-    def test_gate_off_lets_the_miscompile_through(self, planted_miscompile):
+    def test_gate_off_lets_the_miscompile_through(self, planted_vector_bug):
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine(gate="off").executor(desc)
         assert executor.run({"x": 5}).outputs == (6,)
 
-    def test_verify_binding_raises_before_any_verdict(self, planted_miscompile):
+    def test_verify_binding_raises_before_any_verdict(self, planted_vector_bug):
         # End to end: a verification run on a real analysis must refuse
         # to return a report when the engines disagree.
         from repro.analyses import scasb_rigel
@@ -333,12 +319,11 @@ class TestDifferentialGate:
             verify_binding(
                 outcome.binding,
                 scasb_rigel.SCENARIO,
-                trials=20,
-                engine="compiled",
+                config=RunConfig(trials=20),
                 gate="always",
             )
 
-    def test_interp_engine_is_immune(self, planted_miscompile):
+    def test_interp_engine_is_immune(self, planted_vector_bug):
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine(name="interp").executor(desc)
         assert executor.run({"x": 5}).outputs == (4,)

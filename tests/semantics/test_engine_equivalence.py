@@ -1,9 +1,9 @@
-"""Property-based engine equivalence: random ISDL vs. every engine.
+"""Property-based engine equivalence: random ISDL vs. both engines.
 
 Hypothesis builds arbitrary (well-formed) ISDL programs — nested
 repeats with ``exit_when``, call-by-value routine calls, memory
-traffic, asserts — and requires the compiled *and* vectorized engines
-to reproduce the interpreter's observation exactly: same outputs,
+traffic, asserts — and requires the vectorized engine to reproduce the
+interpreter's observation exactly: same outputs,
 memory, registers, and step count on success; same exception type and
 message on failure.  The step budget is kept small so the limit itself
 is a routinely exercised code path, not a rarity.
@@ -15,7 +15,6 @@ from repro.isdl import parse_description
 from repro.isdl.errors import SemanticError
 from repro.semantics import (
     AssertionFailed,
-    CompiledDescription,
     Interpreter,
     StepLimitExceeded,
     VectorizedDescription,
@@ -88,7 +87,7 @@ def programs(draw):
     # The helper must not loop forever on its own: no repeats inside
     # (exit_when outside a lexical repeat still propagates to the
     # caller's loop — a behaviour the interpreter defines and the
-    # compiler must copy, covered by including plain exit_when here).
+    # vectorizer must copy, covered by including plain exit_when here).
     helper_body = draw(
         statements(LEAVES + ("p",), depth=1, in_repeat=True, allow_calls=False)
     )
@@ -127,7 +126,7 @@ def observe(executor, inputs, memory):
         return ("raise", type(e).__name__, str(e))
     except _LoopExit:
         # An exit_when with no dynamically enclosing repeat leaks the
-        # interpreter's internal signal; the compiled engine mirrors
+        # interpreter's internal signal; the vectorized engine mirrors
         # even that corner exactly.
         return ("raise", "_LoopExit", "")
 
@@ -150,12 +149,6 @@ def test_fast_engines_match_interpreter(text, a, b, n, cells):
     interp = observe(
         Interpreter(description, max_steps=MAX_STEPS), inputs, dict(cells)
     )
-    compiled = observe(
-        CompiledDescription(description, max_steps=MAX_STEPS),
-        inputs,
-        dict(cells),
-    )
-    assert compiled == interp
     vectorized = observe(
         VectorizedDescription(description, max_steps=MAX_STEPS),
         inputs,

@@ -181,6 +181,49 @@ class TestDegenerateBatch:
         assert lane.steps == scalar.steps
 
 
+#: a scan whose exit condition calls a routine that advances the
+#: pointer, so the pointer also moves on the iteration the exit fires.
+ADVANCING_SCAN = parse_description(
+    """
+    t.op := begin
+        ** S **
+            p: integer, n: integer, c<7:0>, start: integer
+        ** R **
+            next(): integer := begin
+                next <- Mb[ p ];
+                p <- p + 1;
+            end
+        ** P **
+            t.execute() := begin
+                input (p, n, c);
+                start <- p;
+                repeat
+                    exit_when (n = 0);
+                    exit_when (c = next());
+                    n <- n - 1;
+                end_repeat;
+                output (p - start, n);
+            end
+    end
+    """
+)
+
+
+class TestFusedLoops:
+    def test_increment_inside_exit_call_counts_on_the_exit_iteration(self):
+        engine = VectorizedDescription(ADVANCING_SCAN)
+        memory = {10 + i: i for i in range(8)}
+        lanes = [{"p": 10, "n": 8, "c": c} for c in (0, 3, 7, 99)]
+        result = engine.run_batch(
+            {name: [lane[name] for lane in lanes] for name in ("p", "n", "c")},
+            memory,
+            n=len(lanes),
+        )
+        got = batch_outcomes(result)
+        assert got == scalar_reference(ADVANCING_SCAN, lanes, memory)
+        assert [outcome[1] for outcome in got] == [(1, 8), (4, 5), (8, 1), (8, 0)]
+
+
 # ---------------------------------------------------------------------------
 # differential gate on a planted vector-lowering bug
 
@@ -198,25 +241,6 @@ SUB_ONE = parse_description(
     end
     """
 )
-
-
-@pytest.fixture
-def planted_vector_bug(monkeypatch):
-    """Lower vector ``-`` as ``+`` — a deliberate lowering bug.
-
-    The vector code cache is cleared on both sides of the plant so no
-    correct kernel survives into the broken world and no broken kernel
-    leaks out of it.
-    """
-    from repro.semantics import vectorized
-    from repro.semantics.vectorized import clear_vector_cache
-
-    clear_vector_cache()
-    monkeypatch.setitem(
-        vectorized._VECTOR_BINOPS, "-", vectorized._VECTOR_BINOPS["+"]
-    )
-    yield
-    clear_vector_cache()
 
 
 class TestVectorizedGate:
@@ -254,6 +278,5 @@ class TestVectorizedGate:
     def test_scalar_engines_are_immune(self, planted_vector_bug):
         from repro.semantics.engine import ExecutionEngine
 
-        for name in ("interp", "compiled"):
-            executor = ExecutionEngine(name=name).executor(SUB_ONE)
-            assert executor.run({"x": 5}).outputs == (4,)
+        executor = ExecutionEngine(name="interp").executor(SUB_ONE)
+        assert executor.run({"x": 5}).outputs == (4,)

@@ -165,6 +165,18 @@ class TestErrors:
 
         with_service(make_config(tmp_path), scenario)
 
+    def test_retired_engine_is_a_bad_request(self, tmp_path):
+        async def scenario(client, service):
+            status, body = await client.request_json(
+                "POST", "/verify", {"name": "scasb_rigel", "engine": "compiled"}
+            )
+            assert status == 400
+            assert body["error"] == (
+                "unknown engine 'compiled'; choose from: interp, vectorized"
+            )
+
+        with_service(make_config(tmp_path), scenario)
+
     def test_backpressure_emits_429_with_retry_after(self, tmp_path):
         config = make_config(tmp_path, queue_limit=1)
 

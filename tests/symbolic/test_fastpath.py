@@ -52,7 +52,7 @@ class TestVerifyFastPath:
         assert report.confirmed_trials == 20
 
     def test_fast_path_works_on_every_engine(self, binding):
-        for engine in ("interp", "compiled", "vectorized"):
+        for engine in ("interp", "vectorized"):
             report = verify_binding(
                 binding,
                 movsb_pascal.SCENARIO,
@@ -111,7 +111,7 @@ class TestVerdictKey:
             name="movsb_pascal",
             operator_digest="op",
             instruction_digest="in",
-            engine="compiled",
+            engine="vectorized",
             trials=60,
             seed=1982,
             verify=True,

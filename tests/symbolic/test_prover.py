@@ -3,8 +3,7 @@
 The acceptance contract lives here: the shipped corpus must never be
 refuted (and mostly proves), while every planted defect must be
 *refuted* with a counterexample that replays as the identical failing
-trial on the interpreter, the compiled engine, and the vectorized
-engine.
+trial on the interpreter and the vectorized engine.
 """
 
 import dataclasses
@@ -24,7 +23,7 @@ from repro.symbolic import (
     replay_counterexample,
 )
 
-ENGINES = ("interp", "compiled", "vectorized")
+ENGINES = ("interp", "vectorized")
 
 
 @pytest.fixture(scope="module")

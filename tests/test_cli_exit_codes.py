@@ -50,7 +50,7 @@ class TestOk:
         assert "scasb_rigel" in capsys.readouterr().out
 
     def test_verify_accepts_both_engines(self, capsys):
-        for engine in ("interp", "compiled"):
+        for engine in ("interp", "vectorized"):
             assert (
                 main(
                     ["verify", "scasb_rigel", "--trials", "5", "--engine", engine]
@@ -76,9 +76,10 @@ class TestOk:
 
         assert main(["bench", "scasb_rigel", "--trials", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.bench/1"
+        assert payload["schema"] == "repro.bench/2"
         assert set(payload["engines"]) == set(ENGINE_NAMES)
         assert set(payload["speedups"]) == set(ENGINE_NAMES) - {"interp"}
+        assert "speedup" not in payload
 
 
 class TestFindings:
@@ -124,7 +125,7 @@ class TestFindings:
         payload = strip_durations(trace.to_dict())
         payload["instruction_trace"]["events"][1]["digest_after"] = "0" * 64
         entry = next(iter(resolve_names(["scasb_rigel"])))
-        key = entry_verdict_key(entry, "compiled", 120, 1982, True)
+        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
         TraceStore(tmp_path).record_verdict(
             key,
             {"schema": STORE_SCHEMA, "key": key, "result": {}, "trace": payload},
@@ -155,13 +156,18 @@ class TestUsageErrors:
         assert main(["batch", "scasb_rigel", "--engine", "nosuch"]) == 2
         err = capsys.readouterr().err
         assert err.strip() == (
-            "unknown engine 'nosuch'; choose from: interp, compiled, "
-            "vectorized"
+            "unknown engine 'nosuch'; choose from: interp, vectorized"
         )
 
     def test_verify_unknown_engine(self, capsys):
         assert main(["verify", "scasb_rigel", "--engine", "nosuch"]) == 2
         assert "unknown engine" in capsys.readouterr().err
+
+    def test_verify_retired_engine(self, capsys):
+        assert main(["verify", "scasb_rigel", "--engine", "compiled"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "unknown engine 'compiled'; choose from: interp, vectorized"
+        )
 
     def test_analyze_unknown_engine(self, capsys):
         assert main(["analyze", "scasb_rigel", "--engine", "nosuch"]) == 2

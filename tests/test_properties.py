@@ -160,7 +160,6 @@ SCANNER = parse_description(
 
 def _observe_all_engines(description, inputs, memory):
     from repro.semantics import (
-        CompiledDescription,
         Interpreter,
         StepLimitExceeded,
         VectorizedDescription,
@@ -181,11 +180,7 @@ def _observe_all_engines(description, inputs, memory):
 
     return [
         observe(factory(description, max_steps=400))
-        for factory in (
-            Interpreter,
-            CompiledDescription,
-            VectorizedDescription,
-        )
+        for factory in (Interpreter, VectorizedDescription)
     ]
 
 
@@ -194,11 +189,10 @@ def _observe_all_engines(description, inputs, memory):
     st.integers(min_value=0, max_value=1000),
 )
 def test_engines_agree_on_counter_loop(n, acc):
-    """Interp, compiled, and vectorized observe the same counter loop."""
-    interp, compiled, vectorized = _observe_all_engines(
+    """Interp and vectorized observe the same counter loop."""
+    interp, vectorized = _observe_all_engines(
         COUNTER, {"n": n, "acc": acc}, {}
     )
-    assert compiled == interp
     assert vectorized == interp
 
 
@@ -213,9 +207,8 @@ def test_engines_agree_on_counter_loop(n, acc):
     ),
 )
 def test_engines_agree_on_memory_scan(p, c, n, cells):
-    """All three engines agree on a memory scan, including step limits."""
-    interp, compiled, vectorized = _observe_all_engines(
+    """Both engines agree on a memory scan, including step limits."""
+    interp, vectorized = _observe_all_engines(
         SCANNER, {"p": p, "c": c, "n": n}, cells
     )
-    assert compiled == interp
     assert vectorized == interp

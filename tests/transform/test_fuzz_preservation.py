@@ -125,7 +125,7 @@ def _load(name, text):
     raise AssertionError(name)
 
 
-#: compiled execution with the always-on differential gate: every
+#: vectorized execution with the always-on differential gate: every
 #: fuzzed variant is run by both engines and cross-checked, so this
 #: suite doubles as an engine-equivalence corpus.
 ENGINE = ExecutionEngine()

@@ -18,7 +18,7 @@ from repro.semantics.randomgen import generate_scenarios
 
 TRIALS = 25
 
-#: compiled execution, cross-checked against the interpreter on every
+#: vectorized execution, cross-checked against the interpreter on every
 #: trial (the gate defaults to "always" — see repro.semantics.engine).
 ENGINE = ExecutionEngine()
 
