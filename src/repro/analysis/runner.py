@@ -627,9 +627,11 @@ def _record_verdicts(
 
     Only ``ok`` results are stored: an errored or timed-out entry must
     be re-attempted on the next run, never replayed from the cache.
-    The stored artifact carries the full two-sided analysis trace
-    (durations stripped, so equal derivations share one object) for
-    ``repro replay`` to re-check later.
+    The full two-sided analysis trace (durations stripped, so equal
+    derivations share one object) is stored as an object of its own,
+    before the verdict artifact that names it by digest: a store hit
+    reads only the verdict, and ``repro replay`` follows the reference
+    to re-check the derivation later.
     """
     from ..provenance import STORE_SCHEMA, analysis_trace_digest, strip_durations
 
@@ -650,7 +652,9 @@ def _record_verdicts(
         }
         trace = outcome.trace
         if trace is not None:
-            payload["trace"] = strip_durations(trace.to_dict())
+            payload["trace"] = store.put_object(
+                strip_durations(trace.to_dict())
+            )
             payload["trace_digest"] = analysis_trace_digest(trace)
         store.record_verdict(keys[result.name], payload)
 

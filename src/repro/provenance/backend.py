@@ -6,7 +6,8 @@ and index pointers reach disk.  A :class:`StoreBackend` is exactly
 that raw surface:
 
 * **objects** — immutable, content-addressed JSON texts keyed by their
-  SHA-256 digest; writing the same digest twice is a no-op;
+  SHA-256 digest; writing the same digest twice keeps one copy, and
+  rewrites a body that was altered in place;
 * **pointers** — small mutable records ``(kind, name) -> digest``
   (``kind`` is ``"key"`` for verdict-key pointers and ``"name"`` for
   the by-name index).  Pointer updates are *last-writer-wins*: under
@@ -91,7 +92,9 @@ class StoreBackend:
 
     Subclasses must make :meth:`set_pointers` last-writer-wins-safe
     under concurrent writers and :meth:`get_pointer` immune to torn
-    reads; :meth:`put_object` must be idempotent per digest.
+    reads; :meth:`put_object` must be idempotent per digest and must
+    replace a stored body that differs from ``text``, so a corrupted
+    object heals on the next write of its digest.
     """
 
     #: the backend's registered name (``dir`` / ``sqlite``).
@@ -141,15 +144,21 @@ class DirBackend(StoreBackend):
 
     def put_object(self, digest: str, text: str) -> None:
         path = self._object_path(digest)
-        if not path.exists():
-            # Two racing writers of one digest both produce identical
-            # bytes, so either atomic replace winning is correct.
-            _atomic_write(path, text)
+        try:
+            if path.read_text(encoding="utf-8") == text:
+                return
+        except (OSError, UnicodeDecodeError):
+            pass
+        # Absent, or altered in place since it was written.  Two racing
+        # writers of one digest both produce identical bytes, so either
+        # atomic replace winning is correct.
+        _atomic_write(path, text)
 
     def get_object_text(self, digest: str) -> Optional[str]:
         try:
             return self._object_path(digest).read_text(encoding="utf-8")
-        except OSError:
+        except (OSError, UnicodeDecodeError):
+            # A bit flip can leave bytes that are not UTF-8 at all.
             return None
 
     # -- pointers -------------------------------------------------------
@@ -275,7 +284,9 @@ class SqliteBackend(StoreBackend):
 
     def put_object(self, digest: str, text: str) -> None:
         self._connect().execute(
-            "INSERT OR IGNORE INTO objects (digest, body) VALUES (?, ?)",
+            "INSERT INTO objects (digest, body) VALUES (?, ?) "
+            "ON CONFLICT (digest) DO UPDATE SET body = excluded.body "
+            "WHERE body != excluded.body",
             (digest, text),
         )
 

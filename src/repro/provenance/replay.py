@@ -45,13 +45,20 @@ def replay_analysis(
 def stored_trace(
     store: Optional[TraceStore], name: str
 ) -> Optional[AnalysisTrace]:
-    """The latest stored trace for ``name``, or None."""
+    """The latest stored trace for ``name``, or None.
+
+    The verdict artifact names its trace by object digest; a missing,
+    corrupted or malformed trace object reads as no stored trace.
+    """
     if store is None:
         return None
     artifact = store.latest_for(name)
     if artifact is None:
         return None
-    payload = artifact.get("trace")
+    reference = artifact.get("trace")
+    if not isinstance(reference, str):
+        return None
+    payload = store.get_object(reference)
     if not isinstance(payload, dict):
         return None
     try:

@@ -9,11 +9,15 @@ backend stores the same records in one WAL database — see
       index/keys/<key-digest>.json     verdict key -> object digest
       index/by-name/<analysis>.json    latest object digest per analysis
 
-*Objects* are immutable verdict artifacts: the full two-sided analysis
-trace, the JSON-ready result fields the batch report needs, and the
-key that produced them.  An object's name is the SHA-256 of its
-canonical JSON, so equal artifacts coincide and a corrupted artifact
-is detectable by re-hashing.
+*Objects* are immutable JSON documents of two kinds.  A verdict
+artifact holds the key that produced it, the JSON-ready result fields
+the batch report needs, and the trace's digest; the two-sided analysis
+trace is an object of its own, which the artifact names by its object
+digest in ``trace``.  A store hit therefore reads only the small
+verdict, and every key of one derivation shares one trace object.
+An object's name is the SHA-256 of its canonical JSON, so equal
+artifacts coincide, and every read re-hashes the text: a corrupted
+object reads as absent.
 
 *Verdict keys* name everything that determines a verdict **without
 running the analysis**: the schema version, the analysis name, the
@@ -50,7 +54,7 @@ from .backend import (
 from .schema import canonical_json
 
 #: Version tag for stored verdict artifacts; bump to orphan old caches.
-STORE_SCHEMA = "repro.verdict/1"
+STORE_SCHEMA = "repro.verdict/2"
 
 #: Environment variable naming the default store root for the CLI.
 STORE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -155,9 +159,13 @@ class TraceStore:
         return digest
 
     def get_object(self, digest: str) -> Optional[Dict[str, object]]:
-        """Load an object, or None when absent or corrupted."""
+        """Load an object, or None when absent or corrupted.
+
+        The text is re-hashed against its name, so an object altered in
+        place reads as absent even when it is still valid JSON.
+        """
         text = self._backend.get_object_text(digest)
-        if text is None:
+        if text is None or _digest_text(text) != digest:
             return None
         try:
             return json.loads(text)

@@ -36,15 +36,14 @@ interpreter, the reference semantics.  A scalar run is an N=1 batch.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
 from ..isdl.cache import CacheStats, TextMemo
+from ..isdl.digest import description_text
 from ..isdl.errors import SemanticError
-from ..isdl.printer import format_description
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
@@ -1451,38 +1450,13 @@ def _lower_vectorized(description: ast.Description) -> VectorProgram:
 # content-keyed kernel cache
 
 
-#: Identity layer over :func:`format_description` for cache keys:
-#: ``id(description) -> (weakref, text)``.  Descriptions are frozen
-#: dataclasses, so the pretty-printed text of one *object* never
-#: changes; re-deriving it on every content-key lookup was the
-#: dominant cost of a warm cache hit.  The weak reference guards
-#: against id reuse and evicts entries as ASTs are collected.
-_TEXT_MEMO: Dict[int, Tuple["weakref.ref", str]] = {}
-
-
-def description_text(description: ast.Description) -> str:
-    """``format_description`` memoized per description object."""
-    key = id(description)
-    cached = _TEXT_MEMO.get(key)
-    if cached is not None and cached[0]() is description:
-        return cached[1]
-    text = format_description(description)
-    try:
-        ref = weakref.ref(
-            description, lambda _ref, _key=key: _TEXT_MEMO.pop(_key, None)
-        )
-    except TypeError:
-        return text
-    _TEXT_MEMO[key] = (ref, text)
-    return text
-
-
 class _VectorMemo:
     """Content-keyed memo from descriptions to batch kernels.
 
     Keys are SHA-256 digests of the pretty-printed description (the
     scheme of the parse memos in :mod:`repro.isdl.cache`, under the
-    ``vectorized`` namespace), so structurally identical descriptions
+    ``vectorized`` namespace; the text comes from the per-object memo
+    in :mod:`repro.isdl.digest`), so structurally identical descriptions
     share one lowering and forked batch workers inherit a warm cache
     from the parent process.
     """

@@ -82,29 +82,43 @@ class TestApiGate:
         assert not issubclass(ReplayDivergenceError, TransformError)
 
 
-def plant_drift(store, name, trace, step_index=2):
-    """Record a verdict whose trace lies about one step's digest."""
+def plant_trace(store, name, trace_payload, result=None):
+    """Record a verdict for ``name`` naming ``trace_payload`` as its trace.
+
+    The trace is its own object, written before the verdict that
+    references it by digest — the layout ``repro batch`` writes.
+    """
     entry = next(e for e in resolve_names([name]))
     key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
-    payload = strip_durations(trace.to_dict())
-    payload["instruction_trace"]["events"][step_index]["digest_after"] = (
-        "0" * 64
-    )
     store.record_verdict(
         key,
         {
             "schema": STORE_SCHEMA,
             "key": key,
-            "result": {
-                "succeeded": True,
-                "steps": trace.steps,
-                "failure": None,
-                "verified_trials": 0,
-                "shards": 1,
-                "error": None,
-                "timed_out": False,
-            },
-            "trace": payload,
+            "result": {} if result is None else result,
+            "trace": store.put_object(trace_payload),
+        },
+    )
+
+
+def plant_drift(store, name, trace, step_index=2):
+    """Record a verdict whose trace lies about one step's digest."""
+    payload = strip_durations(trace.to_dict())
+    payload["instruction_trace"]["events"][step_index]["digest_after"] = (
+        "0" * 64
+    )
+    plant_trace(
+        store,
+        name,
+        payload,
+        result={
+            "succeeded": True,
+            "steps": trace.steps,
+            "failure": None,
+            "verified_trials": 0,
+            "shards": 1,
+            "error": None,
+            "timed_out": False,
         },
     )
 
@@ -119,16 +133,8 @@ class TestCliGate:
 
     def test_replay_prefers_stored_traces(self, tmp_path, trace, capsys):
         root = tmp_path / "cache"
-        entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
-        TraceStore(root).record_verdict(
-            key,
-            {
-                "schema": STORE_SCHEMA,
-                "key": key,
-                "result": {},
-                "trace": strip_durations(trace.to_dict()),
-            },
+        plant_trace(
+            TraceStore(root), "scasb_rigel", strip_durations(trace.to_dict())
         )
         assert main(["replay", "scasb_rigel", "--cache-dir", str(root)]) == 0
         assert "(stored)" in capsys.readouterr().out
@@ -176,31 +182,16 @@ class TestTraceForResolution:
 
     def test_stored_wins(self, tmp_path, trace):
         store = TraceStore(tmp_path)
-        entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
-        store.record_verdict(
-            key,
-            {
-                "schema": STORE_SCHEMA,
-                "key": key,
-                "result": {},
-                "trace": strip_durations(trace.to_dict()),
-            },
-        )
+        plant_trace(store, "scasb_rigel", strip_durations(trace.to_dict()))
         got, origin = trace_for(store, "scasb_rigel")
         assert origin == "stored"
         assert got.digest() == trace.digest()
 
     def test_corrupt_stored_trace_falls_back_to_fresh(self, tmp_path, trace):
         store = TraceStore(tmp_path)
-        entry = next(e for e in resolve_names(["scasb_rigel"]))
-        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
         broken = strip_durations(trace.to_dict())
         broken["schema"] = "something/else"
-        store.record_verdict(
-            key,
-            {"schema": STORE_SCHEMA, "key": key, "result": {}, "trace": broken},
-        )
+        plant_trace(store, "scasb_rigel", broken)
         got, origin = trace_for(store, "scasb_rigel")
         assert origin == "fresh"
         assert got is not None

@@ -122,10 +122,12 @@ class TestWhatGetsStored:
 
         root = tmp_path / "cache"
         run_batch(names=["movc3_pc2"], trials=20, cache_dir=root)
-        artifact = TraceStore(root).latest_for("movc3_pc2")
+        store = TraceStore(root)
+        artifact = store.latest_for("movc3_pc2")
         assert artifact is not None
-        assert artifact["schema"] == "repro.verdict/1"
-        trace = AnalysisTrace.from_dict(artifact["trace"])
+        assert artifact["schema"] == "repro.verdict/2"
+        # The trace is its own object; the verdict names it by digest.
+        trace = AnalysisTrace.from_dict(store.get_object(artifact["trace"]))
         assert artifact["trace_digest"] == trace.digest()
 
     def test_pool_mode_populates_the_same_cache(self, tmp_path):

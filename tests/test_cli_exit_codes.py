@@ -126,9 +126,15 @@ class TestFindings:
         payload["instruction_trace"]["events"][1]["digest_after"] = "0" * 64
         entry = next(iter(resolve_names(["scasb_rigel"])))
         key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
-        TraceStore(tmp_path).record_verdict(
+        store = TraceStore(tmp_path)
+        store.record_verdict(
             key,
-            {"schema": STORE_SCHEMA, "key": key, "result": {}, "trace": payload},
+            {
+                "schema": STORE_SCHEMA,
+                "key": key,
+                "result": {},
+                "trace": store.put_object(payload),
+            },
         )
         code = main(["replay", "scasb_rigel", "--cache-dir", str(tmp_path)])
         assert code == 1
