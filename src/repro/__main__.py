@@ -105,13 +105,16 @@ def _default_cache_dir():
     return os.environ.get(STORE_ENV_VAR) or DEFAULT_STORE_DIR
 
 
-def _add_store_backend(parser, default="dir") -> None:
+def _add_store_backend(parser, default=None) -> None:
+    """``--store-backend``; with no ``default`` the layout already under
+    the cache dir is used, so a command reading a store finds it."""
     parser.add_argument(
         "--store-backend",
         choices=["dir", "sqlite"],
         default=default,
         help="provenance store layout: one-file-per-artifact tree or a "
-        "single WAL database (default: %(default)s)",
+        "single WAL database (default: %s)"
+        % (default or "the layout already under the cache dir, else dir"),
     )
 
 
@@ -220,15 +223,19 @@ def cmd_stats(args) -> int:
             return 2
         result = api.StatsResult(snapshot=snapshot)
     else:
+        from .provenance import detect_backend
+
         cache_dir = None
+        store_backend = args.store_backend or "dir"
         if not args.no_cache:
             cache_dir = args.cache_dir or _default_cache_dir()
+            store_backend = args.store_backend or detect_backend(cache_dir)
         config = api.RunConfig(
             engine=args.engine,
             trials=args.trials,
             seed=args.seed,
             cache_dir=cache_dir,
-            store_backend=args.store_backend,
+            store_backend=store_backend,
         )
         try:
             result = api.stats(args.names or None, config)
@@ -771,7 +778,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="disable the provenance cache; replay and verify everything",
     )
-    _add_store_backend(p_batch)
+    _add_store_backend(p_batch, default="dir")
     p_batch.add_argument(
         "--metrics-out",
         default=None,

@@ -50,32 +50,42 @@ NODE_TYPES = (
 )
 
 
-def is_node(value: object) -> bool:
-    """True when ``value`` is an ISDL AST node."""
-    return isinstance(value, NODE_TYPES)
+#: Each node class's field names, read once instead of calling
+#: ``dataclasses.fields`` on every node visited.  ``location`` is source
+#: metadata, never a node, and is left out.
+_FIELDS = {
+    cls: tuple(
+        field.name
+        for field in dataclasses.fields(cls)
+        if field.name != "location"
+    )
+    for cls in NODE_TYPES
+}
 
 
 def children(node: object) -> List[Tuple[PathStep, object]]:
     """Enumerate direct AST children of ``node`` with their path steps."""
     result: List[Tuple[PathStep, object]] = []
-    if not dataclasses.is_dataclass(node):
-        return result
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if is_node(value):
-            result.append(((field.name, None), value))
+    for name in _FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) in _FIELDS:
+            result.append(((name, None), value))
         elif isinstance(value, tuple):
             for index, item in enumerate(value):
-                if is_node(item):
-                    result.append(((field.name, index), item))
+                if type(item) in _FIELDS:
+                    result.append(((name, index), item))
     return result
 
 
 def walk(node: object, path: Path = ()) -> Iterator[Tuple[Path, object]]:
     """Preorder traversal of the tree rooted at ``node``."""
-    yield path, node
-    for step, child in children(node):
-        yield from walk(child, path + (step,))
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        # Pushed last to first, so the first child is yielded next.
+        for step, child in reversed(children(node)):
+            stack.append((path + (step,), child))
 
 
 def node_at(root: object, path: Path) -> object:
@@ -174,20 +184,22 @@ def strip_comments(node: object) -> object:
 
     Used before structural comparison: comments are documentation, not
     semantics, so two descriptions differing only in comments are equal.
+    A subtree with no comment to drop is returned as it is.
     """
-    if not dataclasses.is_dataclass(node) or not is_node(node):
-        return node
     updates = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if field.name == "comment" and value is not None:
-            updates[field.name] = None
-        elif is_node(value):
-            updates[field.name] = strip_comments(value)
-        elif isinstance(value, tuple) and any(is_node(item) for item in value):
-            updates[field.name] = tuple(
-                strip_comments(item) if is_node(item) else item for item in value
-            )
+    for name in _FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if name == "comment":
+            if value is not None:
+                updates[name] = None
+        elif type(value) in _FIELDS:
+            stripped = strip_comments(value)
+            if stripped is not value:
+                updates[name] = stripped
+        elif isinstance(value, tuple):
+            items = tuple(strip_comments(item) for item in value)
+            if any(new is not old for new, old in zip(items, value)):
+                updates[name] = items
     if not updates:
         return node
     return dataclasses.replace(node, **updates)

@@ -10,13 +10,15 @@ them".
 
 :class:`Context` packages the dataflow answers guards need (effect
 summaries, CFGs, liveness, reaching definitions, available copies) for
-one immutable description; a fresh context is built per step because the
-description changes under every successful step and the trees are tiny.
+one immutable description, each computed on first use; a fresh context
+is built per step because the description changes under every
+successful step and the trees are tiny.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -54,15 +56,23 @@ class Context:
 
     def __init__(self, description: ast.Description):
         self.description = description
-        self.effects = EffectAnalysis(description)
         self._cfgs: Dict[str, Cfg] = {}
         self._liveness: Dict[str, Liveness] = {}
         self._reaching: Dict[str, ReachingDefinitions] = {}
         self._copies: Dict[str, AvailableCopies] = {}
         self._routine_paths: Dict[str, Path] = {}
-        for path, node in walk(description):
-            if isinstance(node, ast.RoutineDecl):
-                self._routine_paths[node.name] = path
+        for i, section in enumerate(description.sections):
+            for j, decl in enumerate(section.decls):
+                if isinstance(decl, ast.RoutineDecl):
+                    self._routine_paths[decl.name] = (
+                        ("sections", i),
+                        ("decls", j),
+                    )
+
+    @functools.cached_property
+    def effects(self) -> EffectAnalysis:
+        """Effect summaries, computed on first read (many steps never ask)."""
+        return EffectAnalysis(self.description)
 
     # -- navigation ---------------------------------------------------
 
@@ -185,24 +195,11 @@ class Context:
         """
         uses = []
         for path, node in walk(self.description):
-            if isinstance(node, ast.Assign) and node.target == ast.Var(name):
-                # Recurse only into the RHS; the target is a def.
-                for sub_path, sub in walk(node.expr, path + (("expr", None),)):
-                    if isinstance(sub, ast.Var) and sub.name == name:
-                        uses.append(sub_path)
-            elif isinstance(node, ast.Var) and node.name == name:
+            if isinstance(node, ast.Var) and node.name == name:
                 if path and path[-1] == ("target", None):
                     continue
                 uses.append(path)
-        # walk() visits nested nodes repeatedly from each ancestor; paths
-        # are unique, so dedupe while keeping order.
-        seen = set()
-        unique = []
-        for use in uses:
-            if use not in seen:
-                seen.add(use)
-                unique.append(use)
-        return unique
+        return uses
 
 
 class Transformation:

@@ -320,13 +320,13 @@ class Session:
             message += f"; nearest miss: {nearest!r}"
         return TransformError(message)
 
-    def _find(self, pattern, occurrence: int = 0, kinds=None) -> Path:
+    def _find(self, pattern, occurrence: int = 0) -> Path:
         wanted = strip_comments(pattern)
         matches = []
         for path, node in walk(self.description):
-            if kinds is not None and not isinstance(node, kinds):
-                continue
-            if strip_comments(node) == wanted:
+            # strip_comments keeps a node's class and dataclass equality
+            # is False across classes: only same-class nodes can match.
+            if type(node) is type(wanted) and strip_comments(node) == wanted:
                 matches.append(path)
         if not matches:
             raise self._no_match_error(wanted)
@@ -347,6 +347,8 @@ class Session:
         wanted = strip_comments(parse_expr(text))
         matches = []
         for path, node in walk(self.description):
+            if type(node) is not type(wanted):
+                continue
             if path and path[-1] == ("target", None):
                 continue
             if strip_comments(node) == wanted:

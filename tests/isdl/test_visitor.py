@@ -1,5 +1,7 @@
 """Tests for the traversal / functional-update infrastructure."""
 
+import dataclasses
+
 import pytest
 
 from repro.isdl import (
@@ -15,7 +17,56 @@ from repro.isdl import (
     structurally_equal,
     walk,
 )
-from repro.isdl.visitor import splice_at
+from repro.isdl.errors import SourceLocation
+from repro.isdl.visitor import NODE_TYPES, children, splice_at
+from repro.lint import lint_targets
+
+from tests.transform.test_fuzz_preservation import CORPUS, _load, fuzz_variants
+
+
+def _reference_walk(node, path=()):
+    """The recursive generator ``walk`` replaced, kept as the reference."""
+    yield path, node
+    if not dataclasses.is_dataclass(node):
+        return
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, NODE_TYPES):
+            yield from _reference_walk(value, path + ((field.name, None),))
+        elif isinstance(value, tuple):
+            for index, item in enumerate(value):
+                if isinstance(item, NODE_TYPES):
+                    yield from _reference_walk(item, path + ((field.name, index),))
+
+
+def _same_walk(root):
+    """``walk`` and the reference yield the same (path, node) sequence."""
+    ours = list(walk(root))
+    reference = list(_reference_walk(root))
+    assert [path for path, _ in ours] == [path for path, _ in reference]
+    assert all(a is b for (_, a), (_, b) in zip(ours, reference))
+
+
+class TestWalkMatchesReference:
+    @pytest.mark.parametrize("target", sorted(lint_targets()))
+    def test_catalog_description(self, target):
+        description, _suppressions = lint_targets()[target]()
+        _same_walk(description)
+
+    @pytest.mark.parametrize("name", [entry[0] for entry in CORPUS])
+    def test_fuzz_corpus_variants(self, name):
+        text = next(entry[1] for entry in CORPUS if entry[0] == name)
+        description = _load(name, text)
+        _same_walk(description)
+        variants = 0
+        for _transformation, _path, result in fuzz_variants(description):
+            _same_walk(result.description)
+            variants += 1
+        assert variants >= 10
+
+    def test_children_of_a_non_node_is_empty(self):
+        for value in (None, 3, "x", (ast.Const(1),), SourceLocation(1, 2)):
+            assert children(value) == []
 
 
 class TestWalk:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.config import RunConfig
 from repro.analysis.runner import run_batch
 from repro.provenance import (
@@ -16,6 +17,7 @@ from repro.provenance import (
     migrate_store,
     verdict_key,
 )
+from repro.obs import counter_value, gauge_value
 from repro.provenance.backend import SQLITE_FILENAME, StoreBackendError
 
 from .test_store import make_key
@@ -83,6 +85,44 @@ class TestDetection:
             make_backend("carrier-pigeon", tmp_path)
         with pytest.raises(StoreBackendError):
             TraceStore(tmp_path, backend="carrier-pigeon")
+
+    @pytest.fixture
+    def sqlite_born(self, tmp_path):
+        root = tmp_path / "store"
+        argv = ["--trials", "20", "--cache-dir", str(root), "movsb_pascal"]
+        assert main(["batch", "--store-backend", "sqlite"] + argv) == 0
+        return root, argv
+
+    @staticmethod
+    def _dir_layout_absent(root):
+        return not (root / "index").exists() and not (root / "objects").exists()
+
+    @pytest.mark.parametrize("command", ["replay", "trace"])
+    def test_read_commands_find_a_sqlite_store(self, sqlite_born, capsys, command):
+        root, _argv = sqlite_born
+        capsys.readouterr()
+        assert main([command, "movsb_pascal", "--cache-dir", str(root)]) == 0
+        assert "(stored)" in capsys.readouterr().out
+        assert self._dir_layout_absent(root)
+
+    def test_stats_counts_a_hit_on_a_sqlite_store(self, sqlite_born, capsys):
+        root, argv = sqlite_born
+        capsys.readouterr()
+        assert main(["stats", "--format", "json"] + argv) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert counter_value(snapshot, "repro_provenance_store_hits_total") == 1
+        assert gauge_value(snapshot, "repro_provenance_hit_rate") == 1.0
+        assert self._dir_layout_absent(root)
+
+    def test_explicit_backend_flag_still_wins(self, sqlite_born, capsys):
+        root, _argv = sqlite_born
+        capsys.readouterr()
+        code = main(
+            ["replay", "movsb_pascal", "--cache-dir", str(root),
+             "--store-backend", "dir"]
+        )
+        assert code == 0
+        assert "(fresh)" in capsys.readouterr().out
 
     def test_tmp_leftovers_not_listed_as_names(self, tmp_path):
         store = TraceStore(tmp_path, backend="dir")

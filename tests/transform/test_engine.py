@@ -2,8 +2,27 @@
 
 import pytest
 
-from repro.isdl import ast
+from repro.isdl import ast, parse_description
+from repro.isdl.visitor import node_at
 from repro.transform import Session, TransformError
+
+
+def _one_routine(body):
+    """A description whose only routine runs ``body``."""
+    return parse_description(
+        f"""
+        t.instruction := begin
+            ** STATE **
+                x<7:0>
+            ** PROCESS **
+                t.execute() := begin
+                    repeat
+                        {body}
+                    end_repeat;
+                end
+        end
+        """
+    )
 
 
 class TestLocators:
@@ -11,8 +30,6 @@ class TestLocators:
         session = Session(search_desc)
         path = session.expr("zf")
         node = session.description
-        from repro.isdl.visitor import node_at
-
         found = node_at(node, path)
         assert found == ast.Var("zf")
         # the first zf in walk order is the target of 'zf <- 0' — the
@@ -38,6 +55,20 @@ class TestLocators:
         session = Session(search_desc)
         with pytest.raises(TransformError):
             session.stmt("qq <- 1;")
+
+    def test_stmt_never_matches_another_class(self):
+        session = Session(_one_routine("exit_when (x = 0);"))
+        with pytest.raises(TransformError):
+            session.stmt("assert (x = 0);")
+
+    def test_commented_and_plain_statements_match_in_walk_order(self):
+        session = Session(_one_routine("x <- 0;   ! note\n x <- 0;"))
+        first = session.stmt("x <- 0;", occurrence=0)
+        second = session.stmt("x <- 0;", occurrence=1)
+        assert node_at(session.description, first).comment == "note"
+        assert node_at(session.description, second).comment is None
+        assert first[:-1] == second[:-1]
+        assert first[-1] == ("body", 0) and second[-1] == ("body", 1)
 
     def test_decl_and_routine(self, search_desc):
         session = Session(search_desc)

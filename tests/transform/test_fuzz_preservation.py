@@ -156,16 +156,13 @@ def _name_param_combos(transform_name, description):
         yield None  # path-driven
 
 
-@pytest.mark.parametrize(
-    "name", [entry[0] for entry in CORPUS], ids=[e[0] for e in CORPUS]
-)
-def test_fuzz_all_transformations(name):
-    text, spec = next(
-        (entry[1], entry[2]) for entry in CORPUS if entry[0] == name
-    )
-    description = _load(name, text)
-    scenarios = generate_scenarios(spec, 12, seed=1234)
-    baseline = _behaviour(description, scenarios)
+def fuzz_variants(description):
+    """Every ``(transformation, path, result)`` the fuzzer applies.
+
+    Each semantics-preserving transformation is tried at every node of
+    ``description`` (or once per name-parameter combination for the
+    path-independent global rewrites); guard refusals are skipped.
+    """
     ctx = Context(description)
     paths = [path for path, _ in walk(description)]
 
@@ -174,7 +171,6 @@ def test_fuzz_all_transformations(name):
         for t in all_transformations()
         if t.category not in SKIP_CATEGORIES and t.name not in SKIP_NAMES
     ]
-    applied = 0
     for transformation in transformations:
         base_params = FUZZ_PARAMS.get(transformation.name, {})
         for extra in _name_param_combos(transformation.name, description):
@@ -188,12 +184,27 @@ def test_fuzz_all_transformations(name):
                     result = transformation.apply(ctx, path, **params)
                 except TransformError:
                     continue
-                assert isinstance(result, TransformResult)
-                applied += 1
-                after = _behaviour(result.description, scenarios)
-                assert after == baseline, (
-                    f"{transformation.name} at {path} broke semantics "
-                    f"of {name}"
-                )
+                yield transformation, path, result
+
+
+@pytest.mark.parametrize(
+    "name", [entry[0] for entry in CORPUS], ids=[e[0] for e in CORPUS]
+)
+def test_fuzz_all_transformations(name):
+    text, spec = next(
+        (entry[1], entry[2]) for entry in CORPUS if entry[0] == name
+    )
+    description = _load(name, text)
+    scenarios = generate_scenarios(spec, 12, seed=1234)
+    baseline = _behaviour(description, scenarios)
+    applied = 0
+    for transformation, path, result in fuzz_variants(description):
+        assert isinstance(result, TransformResult)
+        applied += 1
+        after = _behaviour(result.description, scenarios)
+        assert after == baseline, (
+            f"{transformation.name} at {path} broke semantics "
+            f"of {name}"
+        )
     # The corpus must actually exercise the library.
     assert applied >= 10, f"only {applied} applications on {name}"
