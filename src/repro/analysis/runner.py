@@ -18,6 +18,10 @@ This module turns the one-shot replay into a service-shaped pipeline:
   success/failure record instead of aborting the batch on the first
   exception; the pool outlives the batch, so back-to-back pooled runs
   reuse live, cache-warm workers instead of re-forking;
+* a serial run hands an entry's shards, up to :data:`RUN_SHARDS` at a
+  time, to one :func:`execute_shards` call, which verifies them as one
+  wide batch per final description and still returns one record per
+  shard;
 * shard seeds derive deterministically from the single root seed (see
   :func:`repro.semantics.randomgen.derive_seed`), so scenario ``i`` is
   the same machine state whether it runs in shard 0 of 1 or shard 3 of
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import importlib
+import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +66,12 @@ from .report import canonical_report_json
 #: count) so the shard layout — and therefore the report — is identical
 #: at every ``--jobs`` setting.
 SHARD_TRIALS = 64
+
+#: most shards of one entry a serial run verifies in one call.  Their
+#: windows share one batch per description, whose memory grows with its
+#: lanes (about 1.4 KB each) while the per-lane time stops falling at a
+#: few thousand lanes, so longer runs go 4,096 trials at a time.
+RUN_SHARDS = 64
 
 #: JSON report schema identifier.
 SCHEMA = "repro.batch/1"
@@ -375,7 +386,7 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
     On platforms that fork (the Linux default), worker processes
     inherit the parent's memory copy-on-write, so replaying each
     analysis and lowering its final descriptions *once* here means no
-    worker ever parses or lowers cold — ``execute_shard``'s
+    worker ever parses or lowers cold — ``execute_shards``'s
     ``cache_misses`` accounting stays at zero per worker, which
     ``tests/analysis/test_preload.py`` asserts.
 
@@ -409,89 +420,114 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
             continue
 
 
-def execute_shard(spec: ShardSpec) -> Dict[str, object]:
-    """Run one job; always returns a structured, picklable record.
+def execute_shards(specs: Sequence[ShardSpec]) -> List[Dict[str, object]]:
+    """Run shards of one entry; always returns one structured,
+    picklable record per shard, in order.
+
+    The entry is replayed and lint-gated once, and every shard that
+    verifies trials is one window of a single
+    :func:`~repro.analysis.verify.verify_binding` call, so on the
+    vectorized engine each final description runs once over all of
+    the run's trials.  The serial runner passes an entry's shards
+    :data:`RUN_SHARDS` at a time; a pool job passes one.  Each shard
+    still gets its own verdict: a window that fails leaves the other
+    windows' records as they are.
 
     A successfully replayed binding is lint-gated *before* any trial
     runs: gate rejections land in ``record["error"]`` with a
     ``LintGateError:`` prefix — structurally distinct from a fuzz
     mismatch (``record["failure"]``) and from a timeout (no record).
+    The run's duration, cache misses and metrics delta ride on its
+    first record.
     """
     from ..lint import LintGateError, lint_binding
     from .verify import VerificationFailure, verify_binding
 
+    first = specs[0]
     started = time.perf_counter()
     misses_before = _cache_miss_count()
     registry = obs.active()
     local_collect = None
-    if registry is None and spec.collect:
+    if registry is None and first.collect:
         # A persistent-pool worker forked before collection was turned
         # on in the parent: install a job-local registry so the delta
         # this shard produces still rides the record back.
         local_collect = obs.collecting()
         registry = local_collect.__enter__()
     metrics_before = registry.snapshot() if registry is not None else None
-    record: Dict[str, object] = {
-        "name": spec.name,
-        "offset": spec.offset,
-        "count": spec.count,
-        "succeeded": False,
-        "steps": None,
-        "failure": None,
-        "verified": 0,
-        "error": None,
-        "cache_misses": 0,
-    }
+    records: List[Dict[str, object]] = [
+        {
+            "name": spec.name,
+            "offset": spec.offset,
+            "count": spec.count,
+            "succeeded": False,
+            "steps": None,
+            "failure": None,
+            "verified": 0,
+            "error": None,
+            "duration": 0.0,
+            "cache_misses": 0,
+        }
+        for spec in specs
+    ]
     try:
-        with obs.span("shard", analysis=spec.name):
-            module, outcome = _replay(spec.name)
-            record["succeeded"] = outcome.succeeded
-            record["steps"] = outcome.steps
-            record["failure"] = outcome.failure
+        with obs.span("shard", analysis=first.name):
+            module, outcome = _replay(first.name)
+            for record in records:
+                record["succeeded"] = outcome.succeeded
+                record["steps"] = outcome.steps
+                record["failure"] = outcome.failure
             if outcome.succeeded:
                 gate = lint_binding(outcome.binding)
                 if gate:
                     raise LintGateError(tuple(gate))
-            if outcome.succeeded and spec.count > 0:
-                scenario = getattr(module, "SCENARIO", None)
-                if scenario is not None:
-                    report = verify_binding(
-                        outcome.binding,
-                        scenario,
-                        config=RunConfig(
-                            engine=spec.engine,
-                            trials=spec.count,
-                            seed=spec.seed,
-                            symbolic=spec.symbolic,
-                        ),
-                        offset=spec.offset,
-                        gate="sampled",
-                    )
-                    # Honest accounting: a proved binding's shortened
-                    # confirmation window reports the trials that ran,
-                    # not the trials that were planned.
-                    record["verified"] = report.confirmed_trials
-    except VerificationFailure as error:
-        record["failure"] = f"VerificationFailure: {error}"
-        record["succeeded"] = False
+            scenario = getattr(module, "SCENARIO", None)
+            verifying = [record for record in records if record["count"]]
+            if outcome.succeeded and scenario is not None and verifying:
+                reports = verify_binding(
+                    outcome.binding,
+                    scenario,
+                    config=RunConfig(
+                        engine=first.engine,
+                        seed=first.seed,
+                        symbolic=first.symbolic,
+                    ),
+                    windows=[
+                        (record["offset"], record["count"])
+                        for record in verifying
+                    ],
+                    gate="sampled",
+                )
+                for record, report in zip(verifying, reports):
+                    if isinstance(report, VerificationFailure):
+                        record["failure"] = f"VerificationFailure: {report}"
+                        record["succeeded"] = False
+                    elif isinstance(report, Exception):
+                        record["error"] = f"{type(report).__name__}: {report}"
+                    else:
+                        # Honest accounting: a proved binding's
+                        # shortened confirmation window reports the
+                        # trials that ran, not the trials planned.
+                        record["verified"] = report.confirmed_trials
     except LintGateError as error:
-        record["error"] = f"LintGateError: {error}"
-        record["succeeded"] = False
+        for record in records:
+            record["error"] = f"LintGateError: {error}"
+            record["succeeded"] = False
     except Exception as error:  # noqa: BLE001 - structured, not fatal
-        record["error"] = f"{type(error).__name__}: {error}"
-    record["duration"] = time.perf_counter() - started
-    record["cache_misses"] = _cache_miss_count() - misses_before
+        for record in records:
+            record["error"] = f"{type(error).__name__}: {error}"
+    head = records[0]
+    head["duration"] = time.perf_counter() - started
+    head["cache_misses"] = _cache_miss_count() - misses_before
     if registry is not None and metrics_before is not None:
         # In a pool worker this delta rides the record back to the
         # parent, which merges deltas in deterministic plan order; in
         # serial mode the shared registry already holds these counts,
         # so the parent must NOT merge (see run_batch).
-        record["metrics"] = diff_snapshots(
-            metrics_before, registry.snapshot()
-        )
+        head["metrics"] = diff_snapshots(metrics_before, registry.snapshot())
     if local_collect is not None:
         local_collect.__exit__(None, None, None)
-    return record
+    return records
 
 
 def _aggregate(
@@ -738,7 +774,7 @@ def _run_pool(
                     else spec
                 )
                 try:
-                    future = pool.submit(execute_shard, job)
+                    future = pool.submit(execute_shards, (job,))
                 except (
                     RuntimeError,
                     concurrent.futures.process.BrokenProcessPool,
@@ -779,7 +815,7 @@ def _run_pool(
                 spec, _dispatched = pending.pop(future)
                 key = (spec.name, spec.offset)
                 try:
-                    records[key] = future.result()
+                    (records[key],) = future.result()
                 except concurrent.futures.process.BrokenProcessPool:
                     broken = True
                     records[key] = _error_record(spec, _BROKEN_POOL_ERROR)
@@ -921,9 +957,15 @@ def run_batch(
             # Serial runs never construct a pool, and neither does a
             # pooled run whose every entry was served from the verdict
             # store — a warm request must not pay for process spin-up
-            # it will not use (the spawn counter stays flat).
-            for spec in specs:
-                records[(spec.name, spec.offset)] = execute_shard(spec)
+            # it will not use (the spawn counter stays flat).  An
+            # entry's shards run RUN_SHARDS per call, so they share one
+            # replay and one wide batch per description.
+            for _, shards in itertools.groupby(specs, lambda spec: spec.name):
+                shards = tuple(shards)
+                for start in range(0, len(shards), RUN_SHARDS):
+                    run = shards[start : start + RUN_SHARDS]
+                    for spec, record in zip(run, execute_shards(run)):
+                        records[(spec.name, spec.offset)] = record
         else:
             records = _run_pool(specs, cfg.jobs, cfg.timeout)
             if obs.enabled():

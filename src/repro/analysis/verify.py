@@ -18,7 +18,7 @@ constraints before the instruction is ever emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..isdl import ast
@@ -219,15 +219,16 @@ def verify_binding(
     engine: object = _UNSET,
     offset: int = 0,
     gate: Optional[str] = None,
-) -> VerificationReport:
+    windows: Optional[Sequence[Tuple[int, int]]] = None,
+):
     """Run both final descriptions on randomized states.
 
     The trial count, root seed, and engine come from ``config`` (a
     :class:`RunConfig`; this entry point's historical default is 200
     trials); the individual keywords are deprecated aliases (see
-    :func:`repro.analysis.config.resolve_config`).  ``offset`` and
-    ``gate`` stay real parameters — they are per-call verification
-    mechanics, not part of the run plan.
+    :func:`repro.analysis.config.resolve_config`).  ``offset``,
+    ``gate`` and ``windows`` stay real parameters — they are per-call
+    verification mechanics, not part of the run plan.
 
     ``seed`` is the *root* seed of the whole verification; ``offset``
     selects a window of its scenario stream, so the batch runner can
@@ -244,10 +245,23 @@ def verify_binding(
     :class:`~repro.semantics.engine.EngineMismatchError` before a
     verdict is reported.
 
-    Raises :class:`VerificationFailure` on the first disagreement, and
+    Returns a :class:`VerificationReport`.  Raises
+    :class:`VerificationFailure` on the first disagreement, and
     :class:`~repro.lint.LintGateError` — before any trial runs — when
     the static pre-flight finds the binding's constraints inconsistent
     with its own descriptions (see :func:`repro.lint.lint_binding`).
+
+    ``windows`` verifies several ``(offset, count)`` windows of the
+    stream in one call — the batch runner passes an entry's shards —
+    and returns a list with one outcome per window: the report, or the
+    exception, that a call with that ``offset`` and ``trials=count``
+    gives.  ``trials`` and ``offset`` are then unused.  The binding is
+    linted, proved and given executors once, and on the vectorized
+    engine all windows run as one batch per description, each window
+    numbering its gate trials from 0.  Among several windows, one with
+    a flagged lane is verified again on its own, which replays that
+    lane exactly as its one-window call does; so is every window when
+    the wide run fails a gate check or the prover refutes the binding.
     """
     cfg = resolve_config(
         config,
@@ -265,6 +279,7 @@ def verify_binding(
     instruction_interp = resolved.executor(instruction_desc)
     operand_map = binding.operand_map
     ranges = _operand_ranges(binding)
+    plan = ((offset, cfg.trials),) if windows is None else tuple(windows)
 
     collect = obs.enabled()
     rename = operand_map.get
@@ -281,15 +296,27 @@ def verify_binding(
             collect,
         )
 
-    def batch_trials(stream: ScenarioStream, count: int) -> None:
-        """The whole trial window as one wide batch per description.
+    def alone(window_offset: int, count: int):
+        """The outcome of verifying one window in a call of its own."""
+        try:
+            return verify_binding(
+                binding,
+                spec,
+                cfg.replace(trials=count),
+                offset=window_offset,
+                gate=gate,
+            )
+        except Exception as error:  # noqa: BLE001 - the window's outcome
+            return error
 
-        A flagged lane is replayed as a scalar trial of the *same*
-        executor, so the failure a caller sees — exception type,
-        message, trial index, attached scenario — is byte-identical to
-        what the scalar loop would have produced.
+    def batch_trials(stream: ScenarioStream, executed) -> list:
+        """Every window as one wide batch per description.
+
+        Returns, per window, the position of its first flagged lane (a
+        lane that raised or disagreed), or None when the window is
+        clean; the clean windows' trials count as verified.
         """
-        batch = stream.draw_batch(offset, count)
+        batch = stream.draw_windows(executed)
         columns = dict(batch.inputs)
         for operand, lo, hi in ranges:
             if operand in columns:
@@ -309,42 +336,40 @@ def verify_binding(
                 else any(disagree)
             )
         )
-        if clean:
-            if collect and count:
-                obs.inc(
-                    "repro_verify_trials_total",
-                    count,
-                    engine=resolved.name,
-                )
-            return
-        problem = 0
-        for lane in range(batch.n):
-            if (
-                result_op.errors[lane] is not None
-                or result_in.errors[lane] is not None
-                or disagree[lane]
-            ):
-                problem = lane
-                break
-        if collect and problem:
-            obs.inc(
-                "repro_verify_trials_total", problem, engine=resolved.name
-            )
-        trial(stream.window(offset + problem, 1)[0])
-        raise EngineMismatchError(
-            "vectorized engine flagged trial %d of %r vs %r but the "
-            "scalar replay passed"
-            % (offset + problem, operator_desc.name, instruction_desc.name)
+        problems = []
+        start = 0
+        for _, count in executed:
+            problem = None
+            if not clean:
+                for lane in range(start, start + count):
+                    if (
+                        result_op.errors[lane] is not None
+                        or result_in.errors[lane] is not None
+                        or disagree[lane]
+                    ):
+                        problem = lane - start
+                        break
+            problems.append(problem)
+            start += count
+        verified = sum(
+            count
+            for (_, count), problem in zip(executed, problems)
+            if problem is None
         )
+        if collect and verified:
+            obs.inc("repro_verify_trials_total", verified, engine=resolved.name)
+        return problems
 
     prove_verdict: Optional[str] = None
-    executed = cfg.trials
+    proved = False
     if cfg.symbolic:
         from ..symbolic import PROVED, REFUTED, prove_binding
 
         prove_report = prove_binding(binding, spec, seed=cfg.seed)
         prove_verdict = prove_report.verdict
         if prove_verdict == REFUTED:
+            if windows is not None:
+                return [alone(*window) for window in plan]
             # The prover extracted a concrete model; replaying it
             # through this engine's own trial path raises the exact
             # failure the sampling loop would have produced (the
@@ -354,22 +379,88 @@ def verify_binding(
             # the full sweep below.
             trial(prove_report.counterexample)
         elif prove_verdict == PROVED:
-            executed = min(cfg.trials, CONFIRM_TRIALS)
+            proved = True
+    executed = tuple(
+        (window_offset, min(count, CONFIRM_TRIALS) if proved else count)
+        for window_offset, count in plan
+    )
+
+    def report(window_offset: int, count: int, ran: int) -> VerificationReport:
+        return VerificationReport(
+            trials=count,
+            operator_name=operator_desc.name,
+            instruction_name=instruction_desc.name,
+            seed=cfg.seed,
+            offset=window_offset,
+            engine=resolved.name,
+            prove_verdict=prove_verdict,
+            executed_trials=None if ran == count else ran,
+        )
+
+    def one_batch(stream: ScenarioStream) -> VerificationReport:
+        """The only window as one wide batch per description."""
+        ((window_offset, ran),) = executed
+        (problem,) = batch_trials(stream, executed)
+        if problem is not None:
+            if collect and problem:
+                obs.inc(
+                    "repro_verify_trials_total", problem, engine=resolved.name
+                )
+            # A flagged lane is replayed as a scalar trial of the *same*
+            # executor, so the failure a caller sees — exception type,
+            # message, trial index, attached scenario — is
+            # byte-identical to what the scalar loop would have
+            # produced.
+            trial(stream.window(window_offset + problem, 1)[0])
+            raise EngineMismatchError(
+                "vectorized engine flagged trial %d of %r vs %r but the "
+                "scalar replay passed"
+                % (
+                    window_offset + problem,
+                    operator_desc.name,
+                    instruction_desc.name,
+                )
+            )
+        return report(window_offset, plan[0][1], ran)
+
+    def scalar(stream, window_offset, count, ran) -> VerificationReport:
+        for scenario in stream.window(window_offset, ran):
+            trial(scenario)
+        return report(window_offset, count, ran)
+
+    def captured(run, *args):
+        try:
+            return run(*args)
+        except Exception as error:  # noqa: BLE001 - the window's outcome
+            return error
 
     with obs.span("verify", engine=resolved.name):
         stream = ScenarioStream(spec, cfg.seed)
-        if resolved.name == "vectorized":
-            batch_trials(stream, executed)
+        if resolved.name != "vectorized":
+            outcomes = [
+                captured(scalar, stream, o, count, ran)
+                for (o, count), (_, ran) in zip(plan, executed)
+            ]
+        elif len(plan) == 1:
+            outcomes = [captured(one_batch, stream)]
         else:
-            for scenario in stream.window(offset, executed):
-                trial(scenario)
-    return VerificationReport(
-        trials=cfg.trials,
-        operator_name=operator_desc.name,
-        instruction_name=instruction_desc.name,
-        seed=cfg.seed,
-        offset=offset,
-        engine=resolved.name,
-        prove_verdict=prove_verdict,
-        executed_trials=None if executed == cfg.trials else executed,
-    )
+            try:
+                problems = batch_trials(stream, executed)
+            except EngineMismatchError:
+                problems = [0] * len(plan)
+            # None marks a window left to a call of its own.
+            outcomes = [
+                None if problem is not None else report(o, count, ran)
+                for (o, count), (_, ran), problem in zip(
+                    plan, executed, problems
+                )
+            ]
+    if windows is None:
+        (outcome,) = outcomes
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return [
+        alone(*window) if outcome is None else outcome
+        for window, outcome in zip(plan, outcomes)
+    ]

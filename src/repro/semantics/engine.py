@@ -13,18 +13,22 @@ Two engines execute descriptions:
 The vectorized engine exists purely for speed, so its correctness is
 enforced structurally rather than trusted: a **differential gate**
 re-runs a seeded sample of its lanes under the interpreter.  Tests run
-with the gate ``always`` on; the batch runner samples (first trial of
-every executor plus roughly one in ``gate_period``); benchmarks turn
-it ``off`` to measure raw engine speed.  Any disagreement — outputs,
-final memory, registers, step count, or exception behaviour — raises
-:class:`EngineMismatchError` *before* any verification verdict can be
-reported.
+with the gate ``always`` on; the batch runner samples; benchmarks turn
+it ``off`` to measure raw engine speed.  A lane's gate index is its
+position in its window — a batch of :class:`ScenarioBatch` windows
+(the batch runner's 64-trial shards) numbers each window's lanes from
+0 — and the sampled gate checks index 0 plus roughly one index in
+``gate_period``, so every window checks its own first lane.  Any
+disagreement — outputs, final memory, registers, step count, or
+exception behaviour — raises :class:`EngineMismatchError` *before* any
+verification verdict can be reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
@@ -96,17 +100,41 @@ def _lane_memory(memory, lane: int):
     return memory
 
 
+@lru_cache(maxsize=1 << 14)
+def _sampled_positions(
+    gate_seed: int, name: str, period: int, first: int, count: int
+) -> Tuple[int, ...]:
+    """Positions ``p < count`` whose gate index ``first + p`` is sampled.
+
+    Index 0 is always sampled; any other index when its seeded draw
+    lands on the period.  Memoized, so the SHA-256 draws of a window
+    shape are paid once, not once per lane of every batch.
+    """
+    return tuple(
+        position
+        for position in range(count)
+        if first + position == 0
+        or derive_seed(gate_seed, "gate", name, first + position) % period
+        == 0
+    )
+
+
 class _GatedExecutor:
     """The vectorized engine wrapped with interpreter cross-checks.
 
-    Each executor numbers the trials it runs; a trial is checked when
-    the gate is ``always``, or — under ``sampled`` — when it is the
-    executor's first trial or its seeded draw lands on the sampling
-    period.  The draw derives from the description name and trial
-    index, so which trials are checked is deterministic across
-    processes, independent of sharding order, and identical whether
-    trials arrive one at a time or as a batch (lane ``i`` of a batch
-    starting at trial ``t`` is trial ``t + i``).
+    A lane's gate index is its position in its window, counted from
+    the executor's next trial: a :class:`ScenarioBatch` holding several
+    windows (the batch runner's 64-trial shards) numbers each of them
+    from there, any other batch is one window, and scalar runs count on
+    one at a time.  A window of a stacked batch therefore gets the
+    indices a fresh executor running it alone would give it, and every
+    window checks its own first lane.  A trial is checked when the
+    gate is ``always``, or — under ``sampled`` — when its index is 0 or
+    its seeded draw lands on the sampling period.  The draw derives
+    from the description name and the index, so which trials are
+    checked is deterministic across processes, independent of sharding
+    order, and identical whether trials arrive one at a time or as a
+    batch.
     """
 
     def __init__(
@@ -129,13 +157,13 @@ class _GatedExecutor:
     def description(self) -> ast.Description:
         return self._primary.description
 
-    def _checked(self, index: int) -> bool:
+    def _checked(self, first: int, count: int) -> Sequence[int]:
+        """Positions of a window of ``count`` trials from ``first`` to check."""
         if self._gate == "always":
-            return True
-        if index == 0:
-            return True
-        draw = derive_seed(self._gate_seed, "gate", self._name, index)
-        return draw % self._gate_period == 0
+            return range(count)
+        return _sampled_positions(
+            self._gate_seed, self._name, self._gate_period, first, count
+        )
 
     def _compare(self, got, inputs, memory, index: int) -> None:
         """Cross-check one observation against the interpreter."""
@@ -155,7 +183,7 @@ class _GatedExecutor:
     ) -> ExecutionResult:
         index = self._trial
         self._trial += 1
-        if not self._checked(index):
+        if not self._checked(index, 1):
             return self._primary.run(inputs, memory)
         got = _observe(self._primary, inputs, memory)
         self._compare(got, inputs, memory, index)
@@ -171,23 +199,29 @@ class _GatedExecutor:
     ) -> BatchResult:
         """Run a whole batch, cross-checking the sampled lanes.
 
-        Gated lanes are re-executed by the interpreter and compared via
-        :meth:`BatchResult.lane_outcome`, which has the same shape
-        ``_observe`` produces.
+        Each window of a :class:`ScenarioBatch` ``memory`` (any other
+        batch is one window) numbers its lanes from the executor's next
+        trial.  Gated lanes are re-executed by the interpreter and
+        compared via :meth:`BatchResult.lane_outcome`, which has the
+        same shape ``_observe`` produces.
         """
         base = self._trial
         result = self._primary.run_batch(inputs, memory, n=n)
         self._trial = base + result.n
-        for lane in range(result.n):
-            if not self._checked(base + lane):
-                continue
-            got = result.lane_outcome(lane)
-            self._compare(
-                got,
-                _lane_inputs(inputs, lane),
-                _lane_memory(memory, lane),
-                base + lane,
-            )
+        windows = (
+            memory.windows if isinstance(memory, ScenarioBatch) else ()
+        ) or (result.n,)
+        start = 0
+        for count in windows:
+            for position in self._checked(base, count):
+                lane = start + position
+                self._compare(
+                    result.lane_outcome(lane),
+                    _lane_inputs(inputs, lane),
+                    _lane_memory(memory, lane),
+                    base + position,
+                )
+            start += count
         return result
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised indirectly everywhere
     import numpy as _np
@@ -290,16 +290,22 @@ def generate_scenario_at(
 
 @dataclass(frozen=True)
 class ScenarioBatch:
-    """``n`` consecutive scenarios of one stream, materialized at once.
+    """``n`` scenarios of one stream, materialized at once.
 
     When numpy is available the batch holds columnar state: one int64
-    vector per operand in ``inputs`` plus a dense ``(n, width)`` memory
-    image whose lane ``i`` row is scenario ``offset + i``'s arena.  The
+    vector per operand in ``inputs`` plus a dense ``(n, width)`` byte
+    memory image whose lane ``i`` row is that lane's arena.  The
     vectorized engine runs directly on these arrays; every scalar
     consumer can still reconstruct the exact per-trial
     :class:`Scenario` via :meth:`scenario`.  Without numpy the batch
     holds the scalar draws, with one plain list per operand in
     ``inputs``.
+
+    A batch holds one or more *windows* of the stream back to back:
+    lane ``i`` of a :meth:`ScenarioStream.draw_batch` batch is scenario
+    ``offset + i``, and :meth:`ScenarioStream.draw_windows` lays several
+    ``(offset, count)`` windows end to end, recording their lane counts
+    in ``windows``.
 
     The batch is provably identical to sequential draws: both paths
     evaluate the same ``(trial_seed, slot)`` counter function, so there
@@ -308,16 +314,20 @@ class ScenarioBatch:
 
     spec: ScenarioSpec
     seed: int
+    #: stream index of lane 0
     offset: int
     n: int
     #: operand name -> int64 vector (numpy array, or list without numpy)
     inputs: Dict[str, object]
-    #: dense ``(n, width)`` int64 arena image, or ``None`` without numpy
+    #: dense ``(n, width)`` uint8 arena image, or ``None`` without numpy
     image: Optional[object]
     #: per-address-operand base vectors, used to reconstruct sparse dicts
     bases: Dict[str, object]
     #: scalar fallback draws (populated only without numpy)
     scenarios: Tuple[Scenario, ...] = ()
+    #: lane counts of the stream windows the batch holds, in lane
+    #: order; empty for a single window of all ``n`` lanes
+    windows: Tuple[int, ...] = ()
 
     @property
     def width(self) -> int:
@@ -381,7 +391,7 @@ def _batch_draw(
 
         naddr = len(plan.addresses)
         width = 16 + max(naddr, 1) * spec.arena_stride + plan.count
-        image = np.zeros((n, width), dtype=np.int64)
+        image = np.zeros((n, width), dtype=np.uint8)
         rows = np.arange(n)
         inputs: Dict[str, object] = {}
         bases: Dict[str, object] = {}
@@ -508,6 +518,25 @@ class ScenarioStream:
         """The first ``count`` scenarios of the stream."""
         return self.window(0, count)
 
+    def draw_windows(
+        self, windows: Sequence[Tuple[int, int]]
+    ) -> ScenarioBatch:
+        """Several ``(offset, count)`` windows end to end in one batch.
+
+        Back-to-back windows are one :meth:`draw_batch`; otherwise each
+        window is drawn on its own and the draws are stacked.  Either
+        way lane ``i`` holds the same scenario the per-window draws
+        hold, and ``windows`` records each window's lane count.
+        """
+        contiguous = all(
+            offset == previous + count
+            for (previous, count), (offset, _) in zip(windows, windows[1:])
+        )
+        if contiguous:
+            batch = self.draw_batch(windows[0][0], sum(c for _, c in windows))
+            return replace(batch, windows=tuple(c for _, c in windows))
+        return _stack([self.draw_batch(offset, count) for offset, count in windows])
+
     def draw_batch(self, offset: int, count: int) -> ScenarioBatch:
         """``count`` lanes starting at ``offset`` as one columnar draw.
 
@@ -543,6 +572,40 @@ class ScenarioStream:
             image=image,
             bases=bases,
         )
+
+
+def _stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
+    """Lay draws of one stream end to end, one window per draw."""
+    first = batches[0]
+    if first.image is None:
+        inputs: Dict[str, object] = {
+            name: [value for batch in batches for value in batch.inputs[name]]
+            for name in first.inputs
+        }
+        image = None
+        bases: Dict[str, object] = {}
+    else:
+        np = _np
+        inputs = {
+            name: np.concatenate([batch.inputs[name] for batch in batches])
+            for name in first.inputs
+        }
+        image = np.concatenate([batch.image for batch in batches])
+        bases = {
+            name: np.concatenate([batch.bases[name] for batch in batches])
+            for name in first.bases
+        }
+    return ScenarioBatch(
+        spec=first.spec,
+        seed=first.seed,
+        offset=first.offset,
+        n=sum(batch.n for batch in batches),
+        inputs=inputs,
+        image=image,
+        bases=bases,
+        scenarios=tuple(s for batch in batches for s in batch.scenarios),
+        windows=tuple(batch.n for batch in batches),
+    )
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -2,14 +2,14 @@
 
 ``run_batch`` calls :func:`preload_caches` in the parent before its
 pool forks, so every worker inherits warm parse and kernel caches.  A
-shard that still has to parse or lower something reports it as
+run of shards that still has to parse or lower something reports it as
 ``cache_misses``; these tests pin that count at zero.
 """
 
 from repro.analysis.runner import (
     _clear_replay_cache,
     _replay,
-    execute_shard,
+    execute_shards,
     plan_jobs,
     preload_caches,
     resolve_names,
@@ -31,6 +31,6 @@ def test_preload_lowers_both_final_descriptions_of_every_entry():
         compile_vectorized(outcome.binding.final_operator)
         compile_vectorized(outcome.binding.augmented_instruction)
     assert vector_cache_stats()["misses"] == misses
-    records = [execute_shard(spec) for spec in specs]
+    records = [record for spec in specs for record in execute_shards((spec,))]
     assert [record["error"] for record in records] == [None] * len(specs)
     assert [record["cache_misses"] for record in records] == [0] * len(specs)

@@ -145,12 +145,16 @@ class TestFailureIsStickyAcrossShards:
 
         real = verify_mod.verify_binding
 
-        def flaky(binding, spec, config=None, offset=0, **kwargs):
-            if offset == 0:
-                raise verify_mod.VerificationFailure(
-                    "injected mismatch in shard 0"
-                )
-            return real(binding, spec, config, offset=offset, **kwargs)
+        def flaky(binding, spec, config=None, *, windows, **kwargs):
+            # The serial runner verifies an entry's shards as windows of
+            # one call: fail the window at offset 0, keep the others.
+            outcomes = real(binding, spec, config, windows=windows, **kwargs)
+            return [
+                verify_mod.VerificationFailure("injected mismatch in shard 0")
+                if offset == 0
+                else outcome
+                for (offset, _), outcome in zip(windows, outcomes)
+            ]
 
         monkeypatch.setattr(verify_mod, "verify_binding", flaky)
         # 130 trials -> 3 shards; only the first one fails.

@@ -9,7 +9,7 @@ and in the codegen binding database.
 import pytest
 
 from repro.analysis.binding import Binding
-from repro.analysis.runner import ShardSpec, execute_shard
+from repro.analysis.runner import ShardSpec, execute_shards
 from repro.analysis import runner as runner_module
 from repro.analysis import verify as verify_module
 from repro.codegen.bindings_db import _binding_from, library_for
@@ -160,7 +160,7 @@ class TestRunnerGate:
         monkeypatch.setattr(
             runner_module, "_replay", lambda name: (FakeModule, FakeOutcome)
         )
-        record = execute_shard(ShardSpec("fake", 0, 64, 1982))
+        (record,) = execute_shards((ShardSpec("fake", 0, 64, 1982),))
         assert record["error"] is not None
         assert record["error"].startswith("LintGateError:")
         assert "E301" in record["error"]
