@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.analysis import RunConfig
 from repro.analysis.runner import run_batch
 from repro.isdl import cache
 
@@ -32,9 +33,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _timed(**kwargs):
+def _timed(config):
     start = time.perf_counter()
-    report = run_batch(**kwargs)
+    report = run_batch(config=config)
     elapsed = time.perf_counter() - start
     assert report.ok
     return elapsed
@@ -43,10 +44,10 @@ def _timed(**kwargs):
 @pytest.mark.slow
 def test_parse_cache_warm_replay_is_faster():
     cache.clear_caches()
-    cold = _timed(trials=0, verify=False)
+    cold = _timed(RunConfig(trials=0, verify=False))
     stats = cache.cache_stats()
     assert stats["description"]["misses"] > 0
-    warm = _timed(trials=0, verify=False)
+    warm = _timed(RunConfig(trials=0, verify=False))
     # Replays re-parse nothing: every description comes out of the memo.
     assert cache.cache_stats()["description"]["misses"] == stats["description"]["misses"]
     print(f"\ncatalog replay: cold={cold:.3f}s warm={warm:.3f}s")
@@ -54,8 +55,8 @@ def test_parse_cache_warm_replay_is_faster():
 
 @pytest.mark.slow
 def test_parallel_speedup_vs_serial():
-    serial = _timed(jobs=1, trials=240, seed=1982)
-    parallel = _timed(jobs=4, trials=240, seed=1982)
+    serial = _timed(RunConfig(jobs=1, trials=240, seed=1982))
+    parallel = _timed(RunConfig(jobs=4, trials=240, seed=1982))
     speedup = serial / parallel
     print(
         f"\nbatch --trials 240: jobs=1 {serial:.2f}s, jobs=4 {parallel:.2f}s "
@@ -74,8 +75,8 @@ def test_parallel_speedup_vs_serial():
 def test_jobs_do_not_change_results():
     # The scheduling knob must be invisible in the report, even here
     # where both modes actually execute.
-    serial = run_batch(jobs=1, trials=60, seed=7)
-    parallel = run_batch(jobs=4, trials=60, seed=7)
+    serial = run_batch(config=RunConfig(jobs=1, trials=60, seed=7))
+    parallel = run_batch(config=RunConfig(jobs=4, trials=60, seed=7))
     assert serial.to_json() == parallel.to_json()
 
 
@@ -89,9 +90,7 @@ def test_forked_workers_inherit_warm_caches():
         pytest.skip("cache inheritance requires fork-based workers")
     report = run_batch(
         names=["scasb_rigel", "movsb_pascal", "locc_clu"],
-        jobs=3,
-        trials=40,
-        seed=11,
+        config=RunConfig(jobs=3, trials=40, seed=11),
     )
     assert report.ok
     misses = {job.name: job.cache_misses for job in report.results}

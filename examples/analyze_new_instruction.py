@@ -13,7 +13,12 @@ verifies the resulting binding on 300 randomized machine states.
     python examples/analyze_new_instruction.py
 """
 
-from repro.analysis import AnalysisInfo, AnalysisSession, verify_binding
+from repro.analysis import (
+    AnalysisInfo,
+    AnalysisSession,
+    RunConfig,
+    verify_binding,
+)
 from repro.isdl import format_description, parse_description
 from repro.semantics.randomgen import OperandSpec, ScenarioSpec
 
@@ -112,7 +117,7 @@ def main() -> None:
     scenario = ScenarioSpec(
         operands={"S": OperandSpec("address"), "Max": OperandSpec("length")}
     )
-    report = verify_binding(binding, scenario, trials=300)
+    report = verify_binding(binding, scenario, config=RunConfig(trials=300))
     print(f"verified: {report}")
 
 

@@ -19,46 +19,22 @@ Usage::
     python -m repro machines --format json # spec-derived machine registry
     python -m repro list                   # available analyses
 
-Every subcommand that *runs* things is a thin wrapper over the typed
-facade in :mod:`repro.api` — argument parsing and printing live here,
-behaviour lives there.  Exit codes are uniform across subcommands:
-0 — success; 1 — the command ran but reported findings or failures (a
-failed analysis, lint diagnostics, a batch with failed entries); 2 —
-usage error (unknown name, bad arguments).
+The operation table (:mod:`repro.operations`) builds every subcommand
+and calls the typed facade in :mod:`repro.api`; what is left here is one
+printer per command, ``cmd_<name>(args, result)``, returning the exit
+code: 0 — success; 1 — the command ran but reported findings or
+failures (a failed analysis, lint diagnostics, a batch with failed
+entries).  :func:`main` maps a usage error (unknown name, bad
+arguments) to 2 for every command.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 
 
-def _metrics_scope(path):
-    """Collecting-context + writeback for a ``--metrics-out`` flag.
-
-    Returns an :class:`contextlib.ExitStack`; entering it turns on
-    metrics collection when ``path`` is set.  Call the returned stack's
-    ``.registry`` (None when disabled) for the live registry.
-    """
-    from . import obs
-
-    stack = contextlib.ExitStack()
-    stack.registry = (
-        stack.enter_context(obs.collecting()) if path else None
-    )
-    return stack
-
-
-def _write_metrics(path, snapshot) -> None:
-    from . import obs
-
-    if path and snapshot is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(obs.export_json(snapshot) + "\n")
-
-
-def cmd_table1(_args) -> int:
+def cmd_table1(_args, _result) -> int:
     from .analysis import format_table
     from .machines import PAPER_TOTAL, table1_rows, total_count
 
@@ -68,79 +44,22 @@ def cmd_table1(_args) -> int:
     return 0
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args, _result) -> int:
     from .analyses import REGISTRY
     from .analysis import format_table, table2_row
 
     rows = []
     ok = True
     for spec in (s for s in REGISTRY if s.group == "table2"):
-        outcome = spec.module.run(verify=not args.no_verify, trials=args.trials)
+        outcome = spec.module.run(verify=args.verify, trials=args.trials)
         ok = ok and outcome.succeeded
-        machine, instruction, language, operation, steps = table2_row(outcome)
-        rows.append(
-            (
-                machine,
-                instruction,
-                language,
-                operation,
-                steps,
-                str(spec.paper_steps),
-            )
-        )
-    print(
-        format_table(
-            rows,
-            ("Machine", "Instruction", "Language", "Operation", "Steps", "Paper"),
-        )
-    )
+        rows.append(table2_row(outcome) + (str(spec.paper_steps),))
+    headers = ("Machine", "Instruction", "Language", "Operation", "Steps", "Paper")
+    print(format_table(rows, headers))
     return 0 if ok else 1
 
 
-def _default_cache_dir():
-    import os
-
-    from .provenance import DEFAULT_STORE_DIR, STORE_ENV_VAR
-
-    return os.environ.get(STORE_ENV_VAR) or DEFAULT_STORE_DIR
-
-
-def _add_store_backend(parser, default=None) -> None:
-    """``--store-backend``; with no ``default`` the layout already under
-    the cache dir is used, so a command reading a store finds it."""
-    parser.add_argument(
-        "--store-backend",
-        choices=["dir", "sqlite"],
-        default=default,
-        help="provenance store layout: one-file-per-artifact tree or a "
-        "single WAL database (default: %s)"
-        % (default or "the layout already under the cache dir, else dir"),
-    )
-
-
-def cmd_batch(args) -> int:
-    from . import api
-
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or _default_cache_dir()
-    config = api.RunConfig(
-        engine=args.engine,
-        trials=args.trials,
-        seed=args.seed,
-        verify=not args.no_verify,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        cache_dir=cache_dir,
-        store_backend=args.store_backend,
-    )
-    try:
-        with _metrics_scope(args.metrics_out):
-            result = api.batch(args.names or None, config)
-    except (api.UnknownAnalysisError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    _write_metrics(args.metrics_out, result.metrics)
+def cmd_batch(args, result) -> int:
     if args.json:
         print(result.to_json())
     else:
@@ -148,49 +67,15 @@ def cmd_batch(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_verify(args) -> int:
-    from . import api
-    from .analysis.runner import run_batch
-
-    config = api.RunConfig(
-        engine=args.engine,
-        trials=args.trials,
-        seed=args.seed,
-        verify=True,
-        symbolic=args.symbolic,
-    )
-    try:
-        with _metrics_scope(args.metrics_out):
-            report = run_batch(names=args.names, config=config)
-    except (api.UnknownAnalysisError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    _write_metrics(args.metrics_out, report.metrics)
-    if args.json:
-        print(report.to_json())
-    else:
-        print("\n".join(report.summary_lines()))
-    return 0 if report.ok else 1
+#: several names verify as one batch, printed the same way.
+cmd_verify = cmd_batch
 
 
-def cmd_bench(args) -> int:
-    from . import api
+def cmd_bench(args, _result) -> int:
     from .analysis.bench import format_bench, run_bench, run_cache_bench
 
-    config = api.RunConfig(trials=args.trials, seed=args.seed)
-    try:
-        with _metrics_scope(args.metrics_out) as scope:
-            registry = scope.registry
-            if args.cache:
-                payload = run_cache_bench(args.names or None, config)
-            else:
-                payload = run_bench(args.names or None, config)
-            snapshot = None if registry is None else registry.snapshot()
-    except (api.UnknownAnalysisError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    _write_metrics(args.metrics_out, snapshot)
-    text = format_bench(payload)
+    run = run_cache_bench if args.cache else run_bench
+    text = format_bench(run(args.names, args.config))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -199,7 +84,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, _result) -> int:
     import json
 
     from . import api, obs
@@ -209,39 +94,20 @@ def cmd_stats(args) -> int:
             with open(args.from_file, "r", encoding="utf-8") as handle:
                 snapshot = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
-            print(f"stats: cannot read {args.from_file}: {error}", file=sys.stderr)
-            return 2
+            raise ValueError(
+                f"stats: cannot read {args.from_file}: {error}"
+            ) from None
         if (
             not isinstance(snapshot, dict)
             or snapshot.get("schema") != obs.METRICS_SCHEMA
         ):
-            print(
+            raise ValueError(
                 f"stats: {args.from_file} is not a {obs.METRICS_SCHEMA} "
-                "snapshot",
-                file=sys.stderr,
+                "snapshot"
             )
-            return 2
         result = api.StatsResult(snapshot=snapshot)
     else:
-        from .provenance import detect_backend
-
-        cache_dir = None
-        store_backend = args.store_backend or "dir"
-        if not args.no_cache:
-            cache_dir = args.cache_dir or _default_cache_dir()
-            store_backend = args.store_backend or detect_backend(cache_dir)
-        config = api.RunConfig(
-            engine=args.engine,
-            trials=args.trials,
-            seed=args.seed,
-            cache_dir=cache_dir,
-            store_backend=store_backend,
-        )
-        try:
-            result = api.stats(args.names or None, config)
-        except (api.UnknownAnalysisError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
+        result = api.stats(args.names, args.config)
     if args.format == "prom":
         print(result.to_prometheus(), end="")
     else:
@@ -249,50 +115,31 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_machines(args) -> int:
-    from . import api
+#: ``repro machines`` columns: header and ``MachineInfo`` attribute.
+_MACHINE_COLUMNS = (
+    ("Key", "key"), ("Machine", "name"), ("Bits", "word_bits"),
+    ("Instr", "instructions"), ("Modeled", "modeled"), ("Sim", "simulated"),
+    ("Fuzz", "fuzz_cases"),
+)
+
+
+def cmd_machines(args, result) -> int:
     from .analysis import format_table
 
-    result = api.machines()
     if args.format == "json":
         print(result.to_json())
         return 0
-    rows = []
-    for info in result.machines:
-        iterated = info.cost["iterated"]
-        rows.append(
-            (
-                info.key,
-                info.name,
-                str(info.word_bits),
-                str(info.instructions),
-                str(info.modeled),
-                str(info.simulated),
-                str(info.fuzz_cases),
-                str(len(iterated)),
-                "paper" if info.paper else "extension",
-            )
-        )
-    print(
-        format_table(
-            rows,
-            (
-                "Key",
-                "Machine",
-                "Bits",
-                "Instr",
-                "Modeled",
-                "Sim",
-                "Fuzz",
-                "Iterated",
-                "Source",
-            ),
-        )
-    )
+    rows = [
+        tuple(str(getattr(info, attr)) for _, attr in _MACHINE_COLUMNS)
+        + (str(len(info.cost["iterated"])), "paper" if info.paper else "extension")
+        for info in result.machines
+    ]
+    headers = tuple(header for header, _ in _MACHINE_COLUMNS)
+    print(format_table(rows, headers + ("Iterated", "Source")))
     return 0
 
 
-def cmd_list(_args) -> int:
+def cmd_list(_args, _result) -> int:
     from . import analyses
 
     for group, members in (
@@ -308,17 +155,7 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    from . import api
-
-    try:
-        config = api.RunConfig(engine=args.engine, trials=args.trials)
-        result = api.analyze(
-            args.name, config, verify=not args.no_verify
-        )
-    except (api.UnknownAnalysisError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+def cmd_analyze(args, result) -> int:
     print(result.report)
     if args.log and result.outcome.log:
         print("transformation log:")
@@ -326,23 +163,9 @@ def cmd_analyze(args) -> int:
     return 0 if result.succeeded else 1
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, result) -> int:
     import json
 
-    from . import api
-
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or _default_cache_dir()
-    try:
-        result = api.trace(
-            args.name,
-            cache_dir=cache_dir,
-            store_backend=None if cache_dir is None else args.store_backend,
-        )
-    except api.UnknownAnalysisError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     if result is None:
         print(f"{args.name}: no trace recorded", file=sys.stderr)
         return 1
@@ -354,24 +177,7 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
-    from . import api
-
-    if not args.names and not args.all:
-        print("replay: give analysis names or --all", file=sys.stderr)
-        return 2
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or _default_cache_dir()
-    try:
-        result = api.replay(
-            None if args.all else args.names,
-            cache_dir=cache_dir,
-            store_backend=None if cache_dir is None else args.store_backend,
-        )
-    except api.UnknownAnalysisError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+def cmd_replay(_args, result) -> int:
     for entry in result.entries:
         if entry.error == "no trace recorded":
             print(f"FAILED {entry.name}: no trace recorded")
@@ -390,7 +196,7 @@ def cmd_replay(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_lint(args) -> int:
+def cmd_lint(args, _result) -> int:
     import json
     import os
 
@@ -408,8 +214,7 @@ def cmd_lint(args) -> int:
     if args.all:
         selected = sorted(targets)
     if not args.names and not args.all:
-        print("lint: give target names or --all", file=sys.stderr)
-        return 2
+        raise ValueError("lint: give target names or --all")
     for name in args.names:
         if name in targets:
             selected.append(name)
@@ -421,12 +226,10 @@ def cmd_lint(args) -> int:
         elif os.path.exists(name):
             selected.append(name)
         else:
-            print(
+            raise ValueError(
                 f"lint: unknown target {name!r}; known targets: "
-                + ", ".join(sorted(targets)),
-                file=sys.stderr,
+                + ", ".join(sorted(targets))
             )
-            return 2
 
     reports = []
     for name in selected:
@@ -506,20 +309,13 @@ def _symbolic_lint_reports():
     return reports
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args, _result) -> int:
     import json
 
     from . import api
     from .analysis.runner import resolve_names
 
-    if not args.names and not args.all:
-        print("prove: give analysis names or --all", file=sys.stderr)
-        return 2
-    try:
-        entries = resolve_names(None if args.all else args.names)
-    except api.UnknownAnalysisError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    entries = resolve_names(args.names)
     results = [api.prove(entry.name, seed=args.seed) for entry in entries]
     counts = {
         verdict: sum(1 for r in results if r.verdict == verdict)
@@ -559,20 +355,17 @@ def cmd_prove(args) -> int:
     return 1 if counts["refuted"] else 0
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, _result) -> int:
     import asyncio
 
     from .service import AnalysisService, ServiceConfig
 
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or _default_cache_dir()
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         queue_limit=args.queue_limit,
         request_timeout=args.timeout or None,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         store_backend=args.store_backend,
         jobs=args.jobs,
         trials=args.trials,
@@ -586,7 +379,7 @@ def cmd_serve(args) -> int:
             % (
                 config.host,
                 service.port,
-                cache_dir or "<disabled>",
+                config.cache_dir or "<disabled>",
                 config.store_backend,
             ),
             flush=True,
@@ -603,7 +396,7 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_loadtest(args) -> int:
+def cmd_loadtest(args, _result) -> int:
     from .service import run_loadtest
 
     report = run_loadtest(
@@ -622,7 +415,7 @@ def cmd_loadtest(args) -> int:
     return 0 if not report.errors else 1
 
 
-def cmd_figures(_args) -> int:
+def cmd_figures(_args, _result) -> int:
     from .analyses.scasb_rigel import INFO, augment_scasb, simplify_scasb
     from .analysis import AnalysisSession
     from .isdl import format_description
@@ -643,7 +436,7 @@ def cmd_figures(_args) -> int:
     return 0
 
 
-def cmd_failures(_args) -> int:
+def cmd_failures(_args, _result) -> int:
     from .analyses import run_failures
 
     ok = True
@@ -688,7 +481,7 @@ def _compile_b4800(target, args) -> int:
     return 0
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args, _result) -> int:
     from .codegen import ir, target_for
 
     target = target_for(args.machine, with_extensions=args.extensions)
@@ -726,363 +519,27 @@ def cmd_compile(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="EXTRA: exotic-instruction analysis (Morgan & Rowe 1982)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    from . import obs
+    from .operations import OPERATIONS, cli_inputs, cli_parser, invoke
 
-    sub.add_parser("table1", help="Table 1 catalog counts")
-
-    p_table2 = sub.add_parser("table2", help="replay all Table 2 analyses")
-    p_table2.add_argument("--no-verify", action="store_true")
-    p_table2.add_argument("--trials", type=int, default=60)
-
-    p_batch = sub.add_parser(
-        "batch", help="run the full analysis catalog in parallel"
-    )
-    p_batch.add_argument(
-        "names", nargs="*", help="analysis names (default: full catalog)"
-    )
-    p_batch.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
-    )
-    p_batch.add_argument(
-        "--trials", type=int, default=120, help="verification trials per analysis"
-    )
-    p_batch.add_argument(
-        "--seed", type=int, default=1982, help="root seed for all verification"
-    )
-    p_batch.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job timeout in seconds (parallel mode only)",
-    )
-    p_batch.add_argument("--no-verify", action="store_true")
-    p_batch.add_argument(
-        "--json", action="store_true", help="deterministic JSON report"
-    )
-    p_batch.add_argument(
-        "--engine",
-        default=None,
-        help="execution engine: interp | vectorized (default: vectorized)",
-    )
-    p_batch.add_argument(
-        "--cache-dir",
-        default=None,
-        help="provenance store root (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    p_batch.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the provenance cache; replay and verify everything",
-    )
-    _add_store_backend(p_batch, default="dir")
-    p_batch.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="collect metrics during the run and write the JSON snapshot here",
-    )
-
-    p_trace = sub.add_parser(
-        "trace", help="print one analysis's recorded derivation"
-    )
-    p_trace.add_argument("name")
-    p_trace.add_argument(
-        "--format", choices=["text", "json"], default="text"
-    )
-    p_trace.add_argument(
-        "--cache-dir",
-        default=None,
-        help="provenance store root (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    p_trace.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore stored traces; record a fresh derivation",
-    )
-    _add_store_backend(p_trace)
-
-    p_replay = sub.add_parser(
-        "replay", help="re-apply recorded derivations with digest checks"
-    )
-    p_replay.add_argument("names", nargs="*", help="analysis names")
-    p_replay.add_argument(
-        "--all", action="store_true", help="replay the whole catalog"
-    )
-    p_replay.add_argument(
-        "--cache-dir",
-        default=None,
-        help="provenance store root (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    p_replay.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore stored traces; self-check fresh derivations",
-    )
-    _add_store_backend(p_replay)
-
-    p_verify = sub.add_parser(
-        "verify", help="differentially verify named analyses"
-    )
-    p_verify.add_argument("names", nargs="+", help="analysis names")
-    p_verify.add_argument("--trials", type=int, default=120)
-    p_verify.add_argument("--seed", type=int, default=1982)
-    p_verify.add_argument(
-        "--engine",
-        default=None,
-        help="execution engine: interp | vectorized (default: vectorized)",
-    )
-    p_verify.add_argument(
-        "--json", action="store_true", help="deterministic JSON report"
-    )
-    p_verify.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="prove-then-sample: symbolically proved bindings run a "
-        "reduced confirmation trial window",
-    )
-    p_verify.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="collect metrics during the run and write the JSON snapshot here",
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="time verification per execution engine"
-    )
-    p_bench.add_argument(
-        "names", nargs="*", help="analysis names (default: verified catalog)"
-    )
-    p_bench.add_argument("--trials", type=int, default=240)
-    p_bench.add_argument("--seed", type=int, default=1982)
-    p_bench.add_argument(
-        "--json", action="store_true", help="print the JSON payload"
-    )
-    p_bench.add_argument(
-        "--out", default=None, help="write the payload to this path"
-    )
-    p_bench.add_argument(
-        "--cache",
-        action="store_true",
-        help="benchmark the provenance cache (cold vs warm batch)",
-    )
-    p_bench.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="collect metrics during the run and write the JSON snapshot here",
-    )
-
-    p_stats = sub.add_parser(
-        "stats", help="run an instrumented batch and print its metrics"
-    )
-    p_stats.add_argument(
-        "names", nargs="*", help="analysis names (default: full catalog)"
-    )
-    p_stats.add_argument(
-        "--format",
-        choices=["json", "prom"],
-        default="json",
-        help="snapshot JSON or Prometheus text exposition",
-    )
-    p_stats.add_argument(
-        "--from",
-        dest="from_file",
-        default=None,
-        metavar="FILE",
-        help="print a previously saved --metrics-out snapshot instead of "
-        "running anything",
-    )
-    p_stats.add_argument(
-        "--trials",
-        type=int,
-        default=20,
-        help="verification trials for the instrumented run (kept small: "
-        "stats is about the metrics, not the verdict)",
-    )
-    p_stats.add_argument("--seed", type=int, default=1982)
-    p_stats.add_argument(
-        "--engine",
-        default=None,
-        help="execution engine: interp | vectorized (default: vectorized)",
-    )
-    p_stats.add_argument(
-        "--cache-dir",
-        default=None,
-        help="provenance store root (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    p_stats.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the provenance cache for the instrumented run",
-    )
-    _add_store_backend(p_stats)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the analysis service (asyncio HTTP/JSON)"
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=8137, help="0 binds an ephemeral port"
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="provenance store root (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    p_serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without a provenance store (every request re-runs)",
-    )
-    _add_store_backend(p_serve, default="sqlite")
-    p_serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=8,
-        help="concurrent analysis requests before 429 backpressure",
-    )
-    p_serve.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="per-request timeout in seconds (504 past it); 0 disables",
-    )
-    p_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="default batch parallelism (request bodies may override)",
-    )
-    p_serve.add_argument(
-        "--trials", type=int, default=120, help="default verification trials"
-    )
-
-    p_loadtest = sub.add_parser(
-        "loadtest", help="load-test the analysis service"
-    )
-    p_loadtest.add_argument(
-        "--url",
-        default=None,
-        help="target service URL (default: hermetic in-process server)",
-    )
-    p_loadtest.add_argument("--clients", type=int, default=8)
-    p_loadtest.add_argument(
-        "--requests", type=int, default=25, help="requests per client"
-    )
-    p_loadtest.add_argument(
-        "--trials", type=int, default=12, help="verification trials per batch"
-    )
-    _add_store_backend(p_loadtest, default="sqlite")
-    p_loadtest.add_argument(
-        "--cache-dir",
-        default=None,
-        help="hermetic mode store root (default: a temporary directory)",
-    )
-    p_loadtest.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the BENCH_service.json payload here",
-    )
-    p_loadtest.add_argument(
-        "--json", action="store_true", help="print the JSON payload"
-    )
-
-    sub.add_parser("list", help="list available analyses")
-
-    p_machines = sub.add_parser(
-        "machines", help="spec-derived machine registry with coverage"
-    )
-    p_machines.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="coverage table or the repro.machines/1 JSON payload",
-    )
-
-    p_lint = sub.add_parser(
-        "lint", help="static-check ISDL descriptions"
-    )
-    p_lint.add_argument(
-        "names",
-        nargs="*",
-        help="targets: i8086:scasb, rigel:index, a bare machine/language "
-        "name, or a path to an ISDL source file",
-    )
-    p_lint.add_argument(
-        "--all", action="store_true", help="lint every catalog description"
-    )
-    p_lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    p_lint.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="also run the symbolic equivalence prover over every catalog "
-        "binding (E401/W402)",
-    )
-
-    p_analyze = sub.add_parser("analyze", help="run one analysis")
-    p_analyze.add_argument("name")
-    p_analyze.add_argument("--no-verify", action="store_true")
-    p_analyze.add_argument("--trials", type=int, default=120)
-    p_analyze.add_argument("--log", action="store_true")
-    p_analyze.add_argument(
-        "--engine",
-        default=None,
-        help="execution engine: interp | vectorized (default: vectorized)",
-    )
-
-    p_prove = sub.add_parser(
-        "prove", help="symbolic equivalence verdicts for analyses"
-    )
-    p_prove.add_argument("names", nargs="*", help="analysis names")
-    p_prove.add_argument(
-        "--all", action="store_true", help="prove the whole catalog"
-    )
-    p_prove.add_argument("--seed", type=int, default=1982)
-    p_prove.add_argument(
-        "--json", action="store_true", help="deterministic JSON report"
-    )
-
-    sub.add_parser("figures", help="regenerate figures 2-5")
-    sub.add_parser("failures", help="run the documented failure attempts")
-
-    p_compile = sub.add_parser("compile", help="demo code generation")
-    p_compile.add_argument(
-        "machine", choices=["i8086", "vax11", "ibm370", "b4800"]
-    )
-    p_compile.add_argument("--length", type=int, default=16)
-    p_compile.add_argument("--decomposed", action="store_true")
-    p_compile.add_argument("--extensions", action="store_true")
-
-    args = parser.parse_args(argv)
-    handlers = {
-        "table1": cmd_table1,
-        "table2": cmd_table2,
-        "batch": cmd_batch,
-        "trace": cmd_trace,
-        "replay": cmd_replay,
-        "verify": cmd_verify,
-        "bench": cmd_bench,
-        "stats": cmd_stats,
-        "serve": cmd_serve,
-        "loadtest": cmd_loadtest,
-        "list": cmd_list,
-        "machines": cmd_machines,
-        "lint": cmd_lint,
-        "prove": cmd_prove,
-        "analyze": cmd_analyze,
-        "figures": cmd_figures,
-        "failures": cmd_failures,
-        "compile": cmd_compile,
-    }
-    return handlers[args.command](args)
+    parsed = cli_parser().parse_args(argv)
+    op = OPERATIONS[parsed.command]
+    printer = globals()["cmd_" + op.name]
+    metrics_out = getattr(parsed, "metrics_out", None)
+    collect = obs.collecting() if metrics_out else contextlib.nullcontext()
+    try:
+        with collect as registry:
+            args = cli_inputs(op, parsed)
+            result = invoke(op.call, vars(args)) if op.call else None
+            code = printer(args, result)
+            snapshot = None if registry is None else registry.snapshot()
+    except ValueError as error:  # unknown names and bad inputs included
+        print(str(error), file=sys.stderr)
+        return 2
+    if snapshot is not None:
+        with open(metrics_out, "w", encoding="utf-8") as handle:
+            handle.write(obs.export_json(snapshot) + "\n")
+    return code
 
 
 if __name__ == "__main__":

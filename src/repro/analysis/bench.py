@@ -23,7 +23,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..semantics.engine import DEFAULT_ENGINE, ENGINE_NAMES
-from .config import _UNSET, RunConfig, resolve_config
+from .config import RunConfig
 from .report import canonical_report_json
 from .runner import _clear_replay_cache, _replay, resolve_names
 
@@ -52,16 +52,12 @@ WARM_PASSES = 5
 def run_bench(
     names: Optional[Sequence[str]] = None,
     config: Optional[RunConfig] = None,
-    *,
-    trials: object = _UNSET,
-    seed: object = _UNSET,
 ) -> Dict[str, object]:
     """Time verification of the catalog under every engine.
 
-    The plan comes from ``config`` (historical default: 240 trials);
-    the individual keywords are deprecated aliases (see
-    :func:`repro.analysis.config.resolve_config`).  ``config.engine``
-    is ignored — this benchmark times *every* engine by design.
+    The plan comes from ``config`` (None: the historical default of 240
+    trials).  ``config.engine`` is ignored — this benchmark times
+    *every* engine by design.
 
     Replays each analysis once (replay cost is engine-independent and
     excluded from the timings), then runs the full ``trials``-trial
@@ -79,12 +75,7 @@ def run_bench(
     from ..semantics.vectorized import clear_vector_cache
     from .verify import verify_binding
 
-    cfg = resolve_config(
-        config,
-        {"trials": trials, "seed": seed},
-        "run_bench",
-        defaults=_BENCH_DEFAULTS,
-    )
+    cfg = config if config is not None else _BENCH_DEFAULTS
     entries = bench_entries(names)
     _clear_replay_cache()
     replayed = []
@@ -209,13 +200,12 @@ CACHE_SCHEMA = "repro.bench-cache/1"
 def run_cache_bench(
     names: Optional[Sequence[str]] = None,
     config: Optional[RunConfig] = None,
-    *,
-    trials: object = _UNSET,
-    seed: object = _UNSET,
-    jobs: object = _UNSET,
-    cache_dir: object = _UNSET,
 ) -> Dict[str, object]:
     """Cold-vs-warm timing of the incremental batch mode.
+
+    The plan comes from ``config`` (None: 240 trials, like
+    :func:`run_bench`); with no ``cache_dir`` the two runs share a
+    temporary store.
 
     Runs the catalog twice against one provenance store: the first run
     populates it (every entry replays and verifies), the second should
@@ -231,12 +221,7 @@ def run_cache_bench(
 
     from .runner import run_batch
 
-    cfg = resolve_config(
-        config,
-        {"trials": trials, "seed": seed, "jobs": jobs, "cache_dir": cache_dir},
-        "run_cache_bench",
-        defaults=_BENCH_DEFAULTS,
-    )
+    cfg = config if config is not None else _BENCH_DEFAULTS
     own_dir = cfg.cache_dir is None
     root = cfg.cache_dir or tempfile.mkdtemp(prefix="repro-cache-bench-")
     try:

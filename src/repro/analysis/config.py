@@ -2,32 +2,25 @@
 
 ``run_batch`` (:mod:`repro.analysis.runner`), ``verify_binding``
 (:mod:`repro.analysis.verify`), and the benchmarks
-(:mod:`repro.analysis.bench`) historically each grew their own
-``engine`` / ``trials`` / ``seed`` keyword plumbing, with defaults
-drifting per function.  :class:`RunConfig` replaces that: one frozen
-dataclass carries the whole verification plan, the public
-:mod:`repro.api` facade consumes it, and every legacy keyword
-signature survives as a deprecated alias (folded into a config,
-announced with :class:`DeprecationWarning`).
+(:mod:`repro.analysis.bench`) take their whole verification plan as
+one frozen :class:`RunConfig`; the public :mod:`repro.api` facade, the
+CLI and the HTTP service build one from their inputs.  A config checks
+its own fields when it is constructed, so a bad plan fails at the
+front end that took it, never half-way through a run.
 
-The *values* of the historical defaults are preserved per entry point
-(``verify_binding`` defaulted to 200 trials, ``run_bench`` to 240, the
-batch runner to 120), so a legacy call without keywords behaves
-exactly as before.
+A bare call keeps its entry point's historical default plan
+(``verify_binding`` runs 200 trials, ``run_bench`` 240, the batch
+runner 120).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from ..semantics.engine import ExecutionEngine
-
-#: Sentinel distinguishing "keyword not passed" from an explicit None.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -53,12 +46,37 @@ class RunConfig:
     #: *unknown* verdict falls back to the full differential sweep.
     symbolic: bool = False
     #: provenance-store storage backend under ``cache_dir``: ``"dir"``
-    #: (the historical one-file-per-artifact tree, the default — all
-    #: PR 4-7 behaviour and stored digests unchanged) or ``"sqlite"``
-    #: (one WAL database, safe for many concurrent processes — what
-    #: the analysis service runs on).  Verdict keys do not mention the
-    #: backend, so reports are byte-identical across backends.
-    store_backend: str = "dir"
+    #: (the one-file-per-artifact tree, the default), ``"sqlite"`` (one
+    #: WAL database, safe for many concurrent processes — what the
+    #: analysis service runs on), or None for the layout already under
+    #: ``cache_dir``.  Verdict keys do not mention the backend, so
+    #: reports are byte-identical across backends.
+    store_backend: Optional[str] = "dir"
+
+    def __post_init__(self) -> None:
+        for name in ("trials", "seed", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("verify", "symbolic"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, got {value!r}")
+        floor = 1 if self.verify else 0
+        if self.trials < floor:
+            raise ValueError(
+                f"trials must be >= {floor}"
+                + (" when verifying" if self.verify else "")
+                + f", got {self.trials}"
+            )
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.timeout is not None and (
+            isinstance(self.timeout, bool)
+            or not isinstance(self.timeout, (int, float))
+            or not self.timeout > 0
+        ):
+            raise ValueError(f"timeout must be > 0 seconds, got {self.timeout!r}")
 
     def resolve_engine(self, gate: Optional[str] = None) -> ExecutionEngine:
         """The concrete engine this plan runs on."""
@@ -67,40 +85,3 @@ class RunConfig:
     def replace(self, **changes: object) -> "RunConfig":
         """A copy with ``changes`` applied (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
-
-
-def resolve_config(
-    config: Optional[RunConfig],
-    legacy: Dict[str, object],
-    caller: str,
-    defaults: Optional[RunConfig] = None,
-) -> RunConfig:
-    """Fold a (config, legacy-keywords) call into one :class:`RunConfig`.
-
-    ``legacy`` maps keyword names to values, with :data:`_UNSET`
-    marking keywords the caller never passed.  Passing any legacy
-    keyword emits a :class:`DeprecationWarning`; passing both a config
-    and legacy keywords is a :class:`TypeError` — there must be exactly
-    one source of truth for the plan.
-    """
-    supplied = {
-        name: value for name, value in legacy.items() if value is not _UNSET
-    }
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                "%s: pass config=RunConfig(...) or legacy keywords, not both "
-                "(got %s)" % (caller, ", ".join(sorted(supplied)))
-            )
-        return config
-    base = defaults if defaults is not None else RunConfig()
-    if supplied:
-        warnings.warn(
-            "%s: the %s keyword(s) are deprecated; pass "
-            "config=RunConfig(...) instead"
-            % (caller, ", ".join(sorted(supplied))),
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return dataclasses.replace(base, **supplied)
-    return base

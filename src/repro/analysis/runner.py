@@ -49,6 +49,7 @@ counters.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import importlib
 import itertools
 import time
@@ -59,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs.metrics import diff_snapshots
 from ..semantics.engine import DEFAULT_ENGINE
-from .config import _UNSET, RunConfig, resolve_config
+from .config import RunConfig
 from .report import canonical_report_json
 
 #: trials per verification shard; fixed (never derived from the worker
@@ -173,9 +174,10 @@ class BatchReport:
     #: provenance-cache settings and counters.  ``cache_enabled`` is
     #: False when the run had no store; the counters then stay zero.
     cache_enabled: bool = False
-    #: metrics snapshot of this run (``repro.metrics/1``), present only
-    #: when collection was on.  Serialized as a top-level ``"metrics"``
-    #: block; with collection off (the default) the JSON is unchanged.
+    #: metrics snapshot of this run (``repro.metrics/1``), attached only
+    #: when the caller asked for it (``api.batch(metrics=True)``).
+    #: Serialized as a top-level ``"metrics"`` block; without it the
+    #: JSON is unchanged.
     metrics: Optional[Dict[str, object]] = None
 
     @property
@@ -847,22 +849,11 @@ def _run_pool(
 def run_batch(
     names: Optional[Sequence[str]] = None,
     config: Optional[RunConfig] = None,
-    *,
-    jobs: object = _UNSET,
-    trials: object = _UNSET,
-    seed: object = _UNSET,
-    verify: object = _UNSET,
-    timeout: object = _UNSET,
-    engine: object = _UNSET,
-    cache_dir: object = _UNSET,
 ) -> BatchReport:
     """Run the analysis catalog (or a subset) as a parallel batch.
 
-    The run plan comes from ``config`` (a :class:`RunConfig`); the
-    individual keywords are deprecated aliases that fold into one (see
-    :func:`repro.analysis.config.resolve_config`).  The historical
-    defaults — 120 trials, seed 1982, serial, verification on — are
-    the :class:`RunConfig` defaults, so bare calls are unchanged.
+    The run plan comes from ``config`` (a :class:`RunConfig`; None is
+    the default plan: 120 trials, seed 1982, serial, verification on).
 
     ``jobs=1`` executes every job serially in-process; ``jobs>1`` uses
     a process pool.  Both paths execute the *same* deterministic job
@@ -892,36 +883,29 @@ def run_batch(
     run is traced end to end: pool workers snapshot their registry
     around each shard and ship the delta back in the job record, and
     the parent merges those deltas in deterministic plan order, so the
-    final snapshot is independent of worker scheduling.  The snapshot
-    lands on :attr:`BatchReport.metrics`.
+    final snapshot is independent of worker scheduling
+    (:func:`repro.api.batch` attaches it with ``metrics=True``).
     """
-    cfg = resolve_config(
-        config,
-        {
-            "jobs": jobs,
-            "trials": trials,
-            "seed": seed,
-            "verify": verify,
-            "timeout": timeout,
-            "engine": engine,
-            "cache_dir": cache_dir,
-        },
-        "run_batch",
-    )
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    cfg = config if config is not None else RunConfig()
     resolved = cfg.resolve_engine()
     entries = resolve_names(names)
     started = time.perf_counter()
 
-    with obs.span("batch"):
+    with obs.span("batch"), contextlib.ExitStack() as stack:
         store = None
         keys: Dict[str, Dict[str, object]] = {}
         cached: Dict[str, JobResult] = {}
         if cfg.cache_dir is not None:
             from ..provenance import TraceStore, code_epoch
 
-            store = TraceStore(cfg.cache_dir, backend=cfg.store_backend)
+            # Closed on the way out: a sqlite connection sits in a
+            # reference cycle, so one left open keeps its native memory
+            # until a full garbage collection.
+            store = stack.enter_context(
+                contextlib.closing(
+                    TraceStore(cfg.cache_dir, backend=cfg.store_backend)
+                )
+            )
             epoch = code_epoch()
             for entry in entries:
                 key = entry_verdict_key(
@@ -1013,6 +997,4 @@ def run_batch(
         engine=resolved.name,
         cache_enabled=store is not None,
     )
-    if obs.enabled():
-        report.metrics = obs.snapshot()
     return report

@@ -30,7 +30,7 @@ from ..semantics.engine import (
 )
 from ..semantics.randomgen import Scenario, ScenarioSpec, ScenarioStream
 from ..semantics.vectorized import lanes_disagree
-from .config import _UNSET, RunConfig, resolve_config
+from .config import RunConfig
 
 try:  # pragma: no cover - numpy is optional
     import numpy as _np
@@ -214,9 +214,6 @@ def verify_binding(
     spec: ScenarioSpec,
     config: Optional[RunConfig] = None,
     *,
-    trials: object = _UNSET,
-    seed: object = _UNSET,
-    engine: object = _UNSET,
     offset: int = 0,
     gate: Optional[str] = None,
     windows: Optional[Sequence[Tuple[int, int]]] = None,
@@ -224,10 +221,8 @@ def verify_binding(
     """Run both final descriptions on randomized states.
 
     The trial count, root seed, and engine come from ``config`` (a
-    :class:`RunConfig`; this entry point's historical default is 200
-    trials); the individual keywords are deprecated aliases (see
-    :func:`repro.analysis.config.resolve_config`).  ``offset``,
-    ``gate`` and ``windows`` stay real parameters — they are per-call
+    :class:`RunConfig`; None is this entry point's historical default
+    of 200 trials).  ``offset``, ``gate`` and ``windows`` are per-call
     verification mechanics, not part of the run plan.
 
     ``seed`` is the *root* seed of the whole verification; ``offset``
@@ -263,12 +258,7 @@ def verify_binding(
     lane exactly as its one-window call does; so is every window when
     the wide run fails a gate check or the prover refutes the binding.
     """
-    cfg = resolve_config(
-        config,
-        {"trials": trials, "seed": seed, "engine": engine},
-        "verify_binding",
-        defaults=_VERIFY_DEFAULTS,
-    )
+    cfg = config if config is not None else _VERIFY_DEFAULTS
     gate_diagnostics = lint_binding(binding)
     if gate_diagnostics:
         raise LintGateError(tuple(gate_diagnostics))

@@ -13,10 +13,11 @@ functions returning plain typed results:
 * :func:`machines` — the spec-derived machine registry with coverage
   and cost-model summaries.
 
-The CLI subcommands are thin wrappers over these functions (argument
-parsing and printing only), so scripting a workflow never means
-shelling out and re-parsing text: ``api.batch(...).to_json()`` is the
-same bytes ``repro batch --json`` prints.
+The CLI subcommands and the HTTP service reach these functions through
+one operation table (:mod:`repro.operations`), so scripting a workflow
+never means shelling out and re-parsing text: ``api.batch(...).to_json()``
+is the same bytes ``repro batch --json`` prints and ``POST /batch``
+answers.
 
 Run plans are :class:`~repro.analysis.config.RunConfig` values — the
 one parameter surface shared with the engine room.  Name errors raise
@@ -26,7 +27,10 @@ with the same message the CLI prints before exiting 2.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import importlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,20 +112,15 @@ class AnalyzeResult:
         return full_report(self.outcome)
 
 
-def analyze(
-    name: str, config: Optional[RunConfig] = None, *, verify: bool = True
-) -> AnalyzeResult:
+def analyze(name: str, config: Optional[RunConfig] = None) -> AnalyzeResult:
     """Replay one recorded analysis script end to end.
 
-    ``config`` carries trials/engine for the (optional) verification
-    pass; ``verify=False`` replays the transformation sequence only.
+    ``config`` carries trials/engine for the verification pass; with
+    ``verify=False`` it replays the transformation sequence only.
     """
     cfg = config if config is not None else RunConfig()
-    module = _module_for(name)
-    outcome = module.run(
-        verify=verify and cfg.verify,
-        trials=cfg.trials,
-        engine=cfg.resolve_engine(),
+    outcome = _module_for(name).run(
+        verify=cfg.verify, trials=cfg.trials, engine=cfg.resolve_engine()
     )
     return AnalyzeResult(name=name, outcome=outcome)
 
@@ -151,6 +150,8 @@ def verify(
     trials: int = 120,
     seed: int = 1982,
     symbolic: bool = False,
+    cache_dir=None,
+    store_backend: Optional[str] = None,
 ) -> VerifyResult:
     """Differentially verify one analysis on randomized states.
 
@@ -159,12 +160,13 @@ def verify(
     folds the verdict into one :class:`VerifyResult`.  ``symbolic=True``
     runs the prove-then-sample fast path: a proved binding drops each
     shard to a short confirmation window (``verified_trials`` then
-    reports the trials that actually ran).
+    reports the trials that actually ran).  A store at ``cache_dir``
+    (layout ``store_backend``, None: the one found) answers a repeat.
     """
     _module_for(name)
     config = RunConfig(
         engine=engine, trials=trials, seed=seed, verify=True,
-        symbolic=symbolic,
+        symbolic=symbolic, cache_dir=cache_dir, store_backend=store_backend,
     )
     report = run_batch(names=[name], config=config)
     (result,) = report.results
@@ -308,13 +310,14 @@ def batch(
 
     ``metrics=True`` collects an observability snapshot for this run
     (unless collection is already on, in which case the surrounding
-    registry keeps collecting) and attaches it to the report.
+    registry keeps collecting) and attaches it to the report; without
+    it the report carries no metrics block.
     """
-    if metrics and not obs.enabled():
-        with obs.collecting():
-            report = run_batch(names=names, config=config)
-    else:
+    collect = metrics and not obs.enabled()
+    with obs.collecting() if collect else contextlib.nullcontext():
         report = run_batch(names=names, config=config)
+        if metrics:
+            report.metrics = obs.snapshot()
     return BatchResult(report=report)
 
 
@@ -435,35 +438,22 @@ def replay(
         recorded, origin = trace_for(store, entry.name)
         if recorded is None:
             verdicts.append(
-                ReplayEntry(
-                    name=entry.name,
-                    ok=False,
-                    origin=origin,
-                    error="no trace recorded",
-                )
+                ReplayEntry(entry.name, False, origin, error="no trace recorded")
             )
             continue
+        error = None
         try:
             replay_analysis(recorded, module.OPERATOR(), module.INSTRUCTION())
-        except (ReplayDivergenceError, TransformError) as error:
-            verdicts.append(
-                ReplayEntry(
-                    name=entry.name,
-                    ok=False,
-                    origin=origin,
-                    steps=recorded.steps,
-                    digest=recorded.digest(),
-                    error=str(error),
-                )
-            )
-            continue
+        except (ReplayDivergenceError, TransformError) as failure:
+            error = str(failure)
         verdicts.append(
             ReplayEntry(
                 name=entry.name,
-                ok=True,
+                ok=error is None,
                 origin=origin,
                 steps=recorded.steps,
                 digest=recorded.digest(),
+                error=error,
             )
         )
     return ReplayResult(entries=tuple(verdicts))
@@ -567,20 +557,7 @@ class MachineInfo:
     cost: Dict[str, object]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "name": self.name,
-            "manufacturer": self.manufacturer,
-            "word_bits": self.word_bits,
-            "paper": self.paper,
-            "instructions": self.instructions,
-            "modeled": self.modeled,
-            "reconstructed": self.reconstructed,
-            "simulated": self.simulated,
-            "operations": self.operations,
-            "fuzz_cases": self.fuzz_cases,
-            "cost": self.cost,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -597,8 +574,6 @@ class MachinesResult:
 
     def to_json(self) -> str:
         """Byte-identical to ``repro machines --format json``."""
-        import json
-
         payload = {
             "schema": "repro.machines/1",
             "machines": [info.to_dict() for info in self.machines],

@@ -12,7 +12,7 @@ pointer-chasing loop.
 from __future__ import annotations
 
 from ..analysis import Binding
-from ..machines.b4800.sim import B4800Simulator
+from ..machines.b4800 import B4800Simulator
 from . import ir
 from ..asm import AsmProgram, Imm, LabelRef, MemRef, ParamRef, Reg
 from .emitter import Target

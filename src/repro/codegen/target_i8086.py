@@ -10,7 +10,7 @@ then the epilogue branch computing the operator's result.
 from __future__ import annotations
 
 from ..analysis import Binding
-from ..machines.i8086.sim import I8086Simulator
+from ..machines.i8086 import I8086Simulator
 from . import ir
 from ..asm import AsmProgram, Imm, LabelRef, MemRef, ParamRef, Reg
 from .emitter import Target

@@ -12,7 +12,7 @@ already chunked by the rewriting rule; runtime lengths decompose into a
 from __future__ import annotations
 
 from ..analysis import Binding
-from ..machines.ibm370.sim import Ibm370Simulator
+from ..machines.ibm370 import Ibm370Simulator
 from . import ir
 from ..asm import AsmProgram, Imm, LabelRef, MemRef, ParamRef, Reg
 from .emitter import Target

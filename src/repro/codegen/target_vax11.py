@@ -15,7 +15,7 @@ otherwise plain moves decompose — the stock-EXTRA situation of §4.3.
 from __future__ import annotations
 
 from ..analysis import Binding
-from ..machines.vax11.sim import Vax11Simulator
+from ..machines.vax11 import Vax11Simulator
 from . import ir
 from ..asm import AsmProgram, Imm, LabelRef, MemRef, ParamRef, Reg
 from .emitter import Target

@@ -24,42 +24,37 @@ and pinned by the CI service gate:
   spawn/reuse counts, and per-endpoint request histograms without any
   flag.
 
-The run-plan surface mirrors the CLI: the service's
-:class:`ServiceConfig` pins ``cache_dir``/``store_backend``/``jobs``
-(operator decisions), request bodies may override the per-run knobs
-(``names``, ``trials``, ``seed``, ``engine``, ``symbolic``,
-``verify``, and — for ``/batch`` — ``jobs``).
+Every analysis endpoint is a record of the operation table
+(:mod:`repro.operations`), which names its methods, the request fields
+it accepts (anything else is ``400``), its facade function and its wire
+form.  :class:`ServiceConfig` pins the store (an operator decision) and
+supplies the ``trials``/``seed``/``jobs`` defaults.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
 import json
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .. import obs
+from ..operations import ROUTES, http_inputs, invoke, wire
 from ..provenance import BACKENDS
 
 #: Largest accepted request body, in bytes.
 MAX_BODY_BYTES = 1 << 20
 
+#: The operational plane: served by the service itself, outside
+#: admission, so it stays responsive while analyses grind.
+OPERATIONAL = ("stats", "metrics", "healthz")
+
 #: Endpoint label values; anything else is folded into "unknown" so the
 #: request counter's cardinality is bounded by this tuple.
-ENDPOINTS = (
-    "analyze",
-    "verify",
-    "batch",
-    "trace",
-    "replay",
-    "stats",
-    "metrics",
-    "healthz",
-)
+ENDPOINTS = tuple(path[1:] for path in ROUTES) + OPERATIONAL
 
 _REASONS = {
     200: "OK",
@@ -251,7 +246,10 @@ class AnalysisService:
                 raise _HttpError(400, "malformed header")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(400, "malformed Content-Length")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -332,22 +330,38 @@ class AnalysisService:
             _require(method, "GET")
             text = obs.export_json(self._snapshot())
             return 200, text.encode("utf-8"), "application/json"
-        if path == "/analyze":
-            _require(method, "POST")
-            return await self._blocking("analyze", self._do_analyze, body)
-        if path == "/verify":
-            _require(method, "POST")
-            return await self._blocking("verify", self._do_verify, body)
-        if path == "/batch":
-            _require(method, "POST")
-            return await self._blocking("batch", self._do_batch, body)
-        if path == "/trace":
-            body = _query_body(method, query, body, "trace")
-            return await self._blocking("trace", self._do_trace, body)
-        if path == "/replay":
-            body = _query_body(method, query, body, "replay")
-            return await self._blocking("replay", self._do_replay, body)
-        raise _HttpError(404, "no such endpoint: %s" % path)
+        op = ROUTES.get(path)
+        if op is None:
+            raise _HttpError(404, "no such endpoint: %s" % path)
+        _require(method, *op.http.methods)
+        body = {} if method == "GET" else _parse_json(body)
+        try:
+            request = http_inputs(op, method, query, body)
+        except ValueError as error:
+            raise _HttpError(400, str(error)) from None
+        # The operator's store always; its trials/seed/jobs defaults
+        # where the route takes those fields.
+        values = {
+            "cache_dir": self.config.cache_dir,
+            "store_backend": self.config.store_backend,
+        }
+        for param in op.http.fields:
+            if param.name in ("trials", "seed", "jobs"):
+                values[param.name] = getattr(self.config, param.name)
+        values.update(request)
+
+        def answer() -> bytes:
+            try:
+                result = invoke(op.http.call or op.call, values)
+            except ValueError as error:  # unknown names, bad plans
+                raise _HttpError(400, str(error)) from None
+            if result is None:
+                raise _HttpError(
+                    404, "%s: no %s recorded" % (values["name"], op.name)
+                )
+            return (wire(op, result) + "\n").encode("utf-8")
+
+        return await self._blocking(op.name, answer)
 
     def _health(self) -> Dict[str, object]:
         return {
@@ -368,13 +382,9 @@ class AnalysisService:
     # -- admission + execution ------------------------------------------
 
     async def _blocking(
-        self,
-        endpoint: str,
-        handler: Callable[[Dict[str, Any]], Dict[str, object]],
-        body: bytes,
+        self, endpoint: str, work: Callable[[], bytes]
     ) -> Tuple[int, bytes, str]:
         """Admit, run on the thread pool, time out; the 429/504 seam."""
-        request = _parse_json(body)
         if self._inflight >= self.config.queue_limit:
             obs.inc("repro_service_rejected_total", endpoint=endpoint)
             raise _HttpError(
@@ -386,12 +396,12 @@ class AnalysisService:
         loop = asyncio.get_running_loop()
         self._inflight += 1
         try:
-            future = loop.run_in_executor(self._executor, handler, request)
+            future = loop.run_in_executor(self._executor, work)
             if self.config.request_timeout is not None:
                 future = asyncio.wait_for(
                     future, timeout=self.config.request_timeout
                 )
-            result = await future
+            payload = await future
         except asyncio.TimeoutError:
             raise _HttpError(
                 504,
@@ -400,153 +410,19 @@ class AnalysisService:
             ) from None
         finally:
             self._inflight -= 1
-        return 200, _json_bytes(result), "application/json"
-
-    # -- endpoint bodies (run on worker threads) ------------------------
-
-    def _run_config(self, request: Dict[str, Any], **forced) -> "Any":
-        from ..api import RunConfig
-
-        allowed = {"trials", "seed", "engine", "symbolic", "verify"}
-        plan: Dict[str, Any] = {
-            "cache_dir": self.config.cache_dir,
-            "store_backend": self.config.store_backend,
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "jobs": self.config.jobs,
-        }
-        for key in allowed:
-            if request.get(key) is not None:
-                plan[key] = request[key]
-        plan.update(forced)
-        return RunConfig(**plan)
-
-    def _do_analyze(self, request: Dict[str, Any]) -> Dict[str, object]:
-        from .. import api
-
-        name = _required_name(request)
-        config = self._run_config(request)
-        result = _catch_unknown(
-            lambda: api.analyze(name, config, verify=config.verify)
-        )
-        return {
-            "name": result.name,
-            "succeeded": result.succeeded,
-            "steps": result.steps,
-            "failure": result.failure,
-        }
-
-    def _do_verify(self, request: Dict[str, Any]) -> Dict[str, object]:
-        from ..analysis.runner import run_batch
-        from ..api import VerifyResult
-
-        name = _required_name(request)
-        # Unlike ``api.verify`` this runs with the service's store, so
-        # a repeated verification is a provenance hit, not a re-run.
-        config = self._run_config(request, verify=True, jobs=1)
-        report = _catch_unknown(
-            lambda: run_batch(names=[name], config=config)
-        )
-        (entry,) = report.results
-        result = VerifyResult(
-            name=name,
-            ok=entry.ok,
-            verified_trials=entry.verified_trials,
-            engine=report.engine,
-            trials=report.trials,
-            seed=report.seed,
-            failure=entry.failure,
-            error=entry.error,
-        )
-        return dataclasses.asdict(result)
-
-    def _do_batch(self, request: Dict[str, Any]) -> Dict[str, object]:
-        from .. import api
-
-        names = _optional_names(request)
-        jobs = request.get("jobs")
-        forced = {} if jobs is None else {"jobs": int(jobs)}
-        config = self._run_config(request, **forced)
-        result = _catch_unknown(lambda: api.batch(names, config))
-        # The canonical report bytes, re-parsed: /batch returns the same
-        # structure ``repro batch --json`` prints.
-        return json.loads(result.to_json())
-
-    def _do_trace(self, request: Dict[str, Any]) -> Dict[str, object]:
-        from .. import api
-
-        name = _required_name(request)
-        result = _catch_unknown(
-            lambda: api.trace(
-                name,
-                cache_dir=self.config.cache_dir,
-                store_backend=(
-                    None
-                    if self.config.cache_dir is None
-                    else self.config.store_backend
-                ),
-            )
-        )
-        if result is None:
-            raise _HttpError(404, "%s: no trace recorded" % name)
-        return {
-            "name": result.name,
-            "origin": result.origin,
-            "digest": result.digest,
-            "steps": result.steps,
-        }
-
-    def _do_replay(self, request: Dict[str, Any]) -> Dict[str, object]:
-        from .. import api
-
-        names = _optional_names(request)
-        result = _catch_unknown(
-            lambda: api.replay(
-                names,
-                cache_dir=self.config.cache_dir,
-                store_backend=(
-                    None
-                    if self.config.cache_dir is None
-                    else self.config.store_backend
-                ),
-            )
-        )
-        return {
-            "ok": result.ok,
-            "failed": result.failed,
-            "entries": [
-                dataclasses.asdict(entry) for entry in result.entries
-            ],
-        }
+        return 200, payload, "application/json"
 
 
 # ---------------------------------------------------------------------------
 # request helpers
 
 
-def _require(method: str, expected: str) -> None:
-    if method != expected:
-        raise _HttpError(405, "use %s" % expected)
+def _require(method: str, *allowed: str) -> None:
+    if method not in allowed:
+        raise _HttpError(405, "use %s" % " or ".join(allowed))
 
 
-def _query_body(
-    method: str, query: str, body: bytes, endpoint: str
-) -> bytes:
-    """GET-with-query or POST-with-body, normalized to a JSON body."""
-    if method == "POST":
-        return body
-    if method != "GET":
-        raise _HttpError(405, "use GET or POST")
-    params = urllib.parse.parse_qs(query)
-    request: Dict[str, object] = {}
-    if "name" in params:
-        request["name"] = params["name"][0]
-    if "names" in params:
-        request["names"] = params["names"]
-    return _json_bytes(request) if request else b""
-
-
-def _parse_json(body: bytes) -> Dict[str, Any]:
+def _parse_json(body: bytes) -> Dict[str, object]:
     if not body:
         return {}
     try:
@@ -560,31 +436,3 @@ def _parse_json(body: bytes) -> Dict[str, Any]:
 
 def _json_bytes(payload: Dict[str, object]) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _required_name(request: Dict[str, Any]) -> str:
-    name = request.get("name")
-    if not isinstance(name, str) or not name:
-        raise _HttpError(400, 'request needs a "name" string')
-    return name
-
-
-def _optional_names(request: Dict[str, Any]) -> Optional[list]:
-    names = request.get("names")
-    if names is None:
-        return None
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
-    ):
-        raise _HttpError(400, '"names" must be a list of strings')
-    return names
-
-
-def _catch_unknown(call: Callable[[], Any]) -> Any:
-    """Map catalog name errors (and kin) to 400 — they are client bugs."""
-    from ..analysis.runner import UnknownAnalysisError
-
-    try:
-        return call()
-    except (UnknownAnalysisError, ValueError) as error:
-        raise _HttpError(400, str(error)) from None

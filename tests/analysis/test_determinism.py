@@ -12,7 +12,7 @@ that contract down.
 import pytest
 
 from repro.analyses import scasb_rigel
-from repro.analysis import run_batch, verify_binding
+from repro.analysis import RunConfig, run_batch, verify_binding
 from repro.semantics import derive_seed, generate_scenario_at, generate_scenarios
 
 
@@ -77,8 +77,16 @@ class TestScenarioWindows:
 
 class TestVerifyDeterminism:
     def test_same_seed_same_report(self, binding):
-        first = verify_binding(binding, scasb_rigel.SCENARIO, trials=20, seed=11)
-        second = verify_binding(binding, scasb_rigel.SCENARIO, trials=20, seed=11)
+        first = verify_binding(
+            binding,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=20, seed=11),
+        )
+        second = verify_binding(
+            binding,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=20, seed=11),
+        )
         assert first == second
 
     def test_sharded_equals_full(self, binding):
@@ -87,10 +95,17 @@ class TestVerifyDeterminism:
         # the shard windows together cover exactly the full run's
         # scenario indices (TestScenarioWindows proves the windows
         # regenerate identical scenarios).
-        full = verify_binding(binding, scasb_rigel.SCENARIO, trials=20, seed=11)
+        full = verify_binding(
+            binding,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=20, seed=11),
+        )
         shards = [
             verify_binding(
-                binding, scasb_rigel.SCENARIO, trials=10, seed=11, offset=off
+                binding,
+                scasb_rigel.SCENARIO,
+                offset=off,
+                config=RunConfig(trials=10, seed=11),
             )
             for off in (0, 10)
         ]
@@ -101,14 +116,20 @@ class TestBatchDeterminism:
     NAMES = ["scasb_rigel", "srl_listsearch"]
 
     def test_rerun_is_byte_identical(self):
-        first = run_batch(names=self.NAMES, trials=20, seed=42)
-        second = run_batch(names=self.NAMES, trials=20, seed=42)
+        first = run_batch(
+            names=self.NAMES,
+            config=RunConfig(trials=20, seed=42),
+        )
+        second = run_batch(
+            names=self.NAMES,
+            config=RunConfig(trials=20, seed=42),
+        )
         assert first.to_json() == second.to_json()
 
     def test_seed_changes_are_scoped_to_verification(self):
         # A different seed still replays the same transformation steps.
-        a = run_batch(names=self.NAMES, trials=20, seed=1)
-        b = run_batch(names=self.NAMES, trials=20, seed=2)
+        a = run_batch(names=self.NAMES, config=RunConfig(trials=20, seed=1))
+        b = run_batch(names=self.NAMES, config=RunConfig(trials=20, seed=2))
         assert [job.steps for job in a.results] == [
             job.steps for job in b.results
         ]
@@ -121,9 +142,13 @@ class TestEngineDeterminism:
     def test_engines_are_byte_identical(self):
         # The execution engine is a substrate choice, not a semantic
         # one: the JSON a batch reports must not depend on it.
-        interp = run_batch(names=self.NAMES, trials=40, seed=9, engine="interp")
+        interp = run_batch(
+            names=self.NAMES,
+            config=RunConfig(trials=40, seed=9, engine="interp"),
+        )
         vectorized = run_batch(
-            names=self.NAMES, trials=40, seed=9, engine="vectorized"
+            names=self.NAMES,
+            config=RunConfig(trials=40, seed=9, engine="vectorized"),
         )
         assert vectorized.to_json() == interp.to_json()
         assert interp.engine == "interp"
@@ -133,28 +158,26 @@ class TestEngineDeterminism:
         # One wide batch per shard, three shards, two workers: the
         # aggregated JSON must match the serial run exactly.
         serial = run_batch(
-            names=["scasb_rigel"], trials=130, seed=11, engine="vectorized"
+            names=["scasb_rigel"],
+            config=RunConfig(trials=130, seed=11, engine="vectorized"),
         )
         pooled = run_batch(
             names=["scasb_rigel"],
-            trials=130,
-            seed=11,
-            engine="vectorized",
-            jobs=2,
+            config=RunConfig(trials=130, seed=11, engine="vectorized", jobs=2),
         )
         assert serial.ok and pooled.ok
         assert serial.to_json() == pooled.to_json()
 
     def test_verify_reports_match_across_engines(self, binding):
         interp = verify_binding(
-            binding, scasb_rigel.SCENARIO, trials=30, seed=3, engine="interp"
+            binding,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=30, seed=3, engine="interp"),
         )
         vectorized = verify_binding(
             binding,
             scasb_rigel.SCENARIO,
-            trials=30,
-            seed=3,
-            engine="vectorized",
+            config=RunConfig(trials=30, seed=3, engine="vectorized"),
         )
         # Identical apart from the engine label itself.
         assert interp.trials == vectorized.trials

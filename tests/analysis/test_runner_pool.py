@@ -212,7 +212,8 @@ class TestPoolTimeouts:
         # picks it up, so a generous per-job timeout never trips merely
         # because earlier shards used the workers first.
         report = run_batch(
-            names=["scasb_rigel"], trials=130, seed=7, jobs=2, timeout=120.0
+            names=["scasb_rigel"],
+            config=RunConfig(trials=130, seed=7, jobs=2, timeout=120.0),
         )
         (result,) = report.results
         assert report.ok

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.analyses import scasb_rigel
-from repro.analysis import VerificationFailure, verify_binding
+from repro.analysis import RunConfig, VerificationFailure, verify_binding
 from repro.isdl import ast, parse_stmts
 from repro.isdl.visitor import replace_at, walk
 
@@ -18,7 +18,11 @@ def binding():
 
 
 def test_correct_binding_verifies(binding):
-    report = verify_binding(binding, scasb_rigel.SCENARIO, trials=60)
+    report = verify_binding(
+        binding,
+        scasb_rigel.SCENARIO,
+        config=RunConfig(trials=60),
+    )
     assert report.trials == 60
 
 
@@ -34,7 +38,11 @@ def test_tampered_epilogue_caught(binding):
     broken = replace_at(instruction, target, ast.Output((ast.Const(1),)))
     tampered = dataclasses.replace(binding, augmented_instruction=broken)
     with pytest.raises(VerificationFailure):
-        verify_binding(tampered, scasb_rigel.SCENARIO, trials=200)
+        verify_binding(
+            tampered,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=200),
+        )
 
 
 def test_tampered_memory_effect_caught():
@@ -63,7 +71,11 @@ def test_tampered_memory_effect_caught():
     )
     tampered = dataclasses.replace(binding, augmented_instruction=broken)
     with pytest.raises(VerificationFailure):
-        verify_binding(tampered, movsb_pascal.SCENARIO, trials=100)
+        verify_binding(
+            tampered,
+            movsb_pascal.SCENARIO,
+            config=RunConfig(trials=100),
+        )
 
 
 def test_wrong_comparison_caught(binding):
@@ -84,11 +96,19 @@ def test_wrong_comparison_caught(binding):
     )
     tampered = dataclasses.replace(binding, augmented_instruction=broken)
     with pytest.raises(VerificationFailure):
-        verify_binding(tampered, scasb_rigel.SCENARIO, trials=60)
+        verify_binding(
+            tampered,
+            scasb_rigel.SCENARIO,
+            config=RunConfig(trials=60),
+        )
 
 
 def test_range_constraints_clip_scenarios(binding):
     # Values outside the operand ranges are clipped, not rejected: the
     # code generator guarantees ranges, so verification assumes them.
-    report = verify_binding(binding, scasb_rigel.SCENARIO, trials=10, seed=3)
+    report = verify_binding(
+        binding,
+        scasb_rigel.SCENARIO,
+        config=RunConfig(trials=10, seed=3),
+    )
     assert report.trials == 10

@@ -1,66 +1,23 @@
 """Tests for the unified :class:`repro.analysis.config.RunConfig`.
 
 One parameter surface across the runner, the verifier, and the
-benchmarks; every legacy keyword survives as a deprecated alias
-(announced with :class:`DeprecationWarning`), and mixing a config with
-legacy keywords is a hard :class:`TypeError` — there must be exactly
-one source of truth for the plan.
+benchmarks: each entry point takes its plan as one ``config``, a bare
+call keeps the entry point's historical default plan, and a config
+checks its own fields when it is constructed.
 """
-
-import warnings
 
 import pytest
 
 from repro.analyses import scasb_rigel
 from repro.analysis import RunConfig, run_batch, verify_binding
-from repro.analysis.bench import run_bench
-from repro.analysis.config import _UNSET, resolve_config
+from repro.analysis.bench import run_bench, run_cache_bench
 
 
 @pytest.fixture(scope="module")
 def binding():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        outcome = scasb_rigel.run(verify=False)
+    outcome = scasb_rigel.run(verify=False)
     assert outcome.binding is not None
     return outcome.binding
-
-
-class TestResolveConfig:
-    def test_defaults_pass_through_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = resolve_config(None, {"trials": _UNSET, "seed": _UNSET}, "f")
-        assert cfg == RunConfig()
-
-    def test_explicit_config_passes_through_silently(self):
-        plan = RunConfig(trials=7, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = resolve_config(plan, {"trials": _UNSET}, "f")
-        assert cfg is plan
-
-    def test_legacy_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="trials"):
-            cfg = resolve_config(None, {"trials": 9, "seed": _UNSET}, "f")
-        assert cfg.trials == 9
-        assert cfg.seed == RunConfig().seed
-
-    def test_entry_point_defaults_are_preserved(self):
-        defaults = RunConfig(trials=200)
-        cfg = resolve_config(None, {"trials": _UNSET}, "f", defaults=defaults)
-        assert cfg.trials == 200
-        with pytest.warns(DeprecationWarning):
-            cfg = resolve_config(None, {"trials": 5}, "f", defaults=defaults)
-        assert cfg.trials == 5
-
-    def test_config_plus_legacy_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_config(RunConfig(), {"trials": 9}, "f")
-
-    def test_warning_names_the_caller_and_keywords(self):
-        with pytest.warns(DeprecationWarning, match=r"my_func: the seed, trials"):
-            resolve_config(None, {"trials": 1, "seed": 2}, "my_func")
 
 
 class TestRunConfigValue:
@@ -78,17 +35,64 @@ class TestRunConfigValue:
         assert RunConfig().resolve_engine().name == "vectorized"
 
 
+class TestRunConfigChecks:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": "abc"},
+            {"trials": 1.5},
+            {"trials": True},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"jobs": "two"},
+            {"jobs": False},
+            {"verify": "no"},
+            {"verify": 1},
+            {"symbolic": "yes"},
+            {"trials": -5},
+            {"trials": 0},
+            {"trials": -1, "verify": False},
+            {"jobs": 0},
+            {"timeout": 0},
+            {"timeout": -1.0},
+            {"timeout": "soon"},
+            {"timeout": True},
+        ],
+    )
+    def test_bad_field_is_rejected_with_its_name(self, fields):
+        with pytest.raises(ValueError) as excinfo:
+            RunConfig(**fields)
+        assert any(name in str(excinfo.value) for name in fields)
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ValueError, match="jobs"):
+            RunConfig().replace(jobs=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": 0, "verify": False},
+            {"trials": 1},
+            {"jobs": 4, "timeout": 30},
+            {"timeout": 0.5},
+            {"seed": -3},
+            {"store_backend": None},
+        ],
+    )
+    def test_good_plans_construct(self, fields):
+        assert RunConfig(**fields)
+
+
 class TestDeprecatedEntryPoints:
-    def test_run_batch_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            report = run_batch(names=["scasb_rigel"], trials=3, verify=False)
-        assert report.trials == 3
+    """The entry points that once took per-field keyword aliases."""
 
     def test_run_batch_config_and_legacy_mix_is_type_error(self):
         with pytest.raises(TypeError, match="run_batch"):
             run_batch(names=["scasb_rigel"], config=RunConfig(), trials=3)
 
     def test_run_batch_config_does_not_warn(self):
+        import warnings
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             report = run_batch(
@@ -96,15 +100,8 @@ class TestDeprecatedEntryPoints:
             )
         assert report.trials == 3
 
-    def test_verify_binding_legacy_keywords_warn(self, binding):
-        with pytest.warns(DeprecationWarning, match="verify_binding"):
-            report = verify_binding(binding, scasb_rigel.SCENARIO, trials=4)
-        assert report.trials == 4
-
     def test_verify_binding_preserves_historic_200_trial_default(self, binding):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report = verify_binding(binding, scasb_rigel.SCENARIO)
+        report = verify_binding(binding, scasb_rigel.SCENARIO)
         assert report.trials == 200
 
     def test_verify_binding_mix_is_type_error(self, binding):
@@ -113,7 +110,34 @@ class TestDeprecatedEntryPoints:
                 binding, scasb_rigel.SCENARIO, config=RunConfig(), trials=4
             )
 
-    def test_run_bench_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="run_bench"):
-            payload = run_bench(names=["scasb_rigel"], trials=2, seed=5)
-        assert payload["trials"] == 2
+    def test_run_bench_preserves_historic_240_trial_default(self, monkeypatch):
+        # A bare call runs 240 trials; the timing itself is not needed.
+        from repro.analysis import bench
+
+        monkeypatch.setattr(bench, "bench_entries", lambda names: ())
+        assert run_bench()["trials"] == 240
+
+    @pytest.mark.parametrize(
+        "call, keywords",
+        [
+            (
+                lambda **kw: run_batch(["scasb_rigel"], **kw),
+                ("jobs", "trials", "seed", "verify", "timeout", "engine",
+                 "cache_dir"),
+            ),
+            (
+                lambda **kw: verify_binding(None, None, **kw),
+                ("trials", "seed", "engine"),
+            ),
+            (lambda **kw: run_bench(["scasb_rigel"], **kw), ("trials", "seed")),
+            (
+                lambda **kw: run_cache_bench(["scasb_rigel"], **kw),
+                ("trials", "seed", "jobs", "cache_dir"),
+            ),
+        ],
+        ids=["run_batch", "verify_binding", "run_bench", "run_cache_bench"],
+    )
+    def test_legacy_keywords_are_gone(self, call, keywords):
+        for keyword in keywords:
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: 1})

@@ -52,9 +52,8 @@ def test_ten_thousand_trials_per_machine(analysis, machine):
     report = verify_binding(
         outcome.binding,
         module.SCENARIO,
-        trials=FUZZ_TRIALS,
-        engine="vectorized",
         gate="off",
+        config=RunConfig(trials=FUZZ_TRIALS, engine="vectorized"),
     )
     assert report.trials == FUZZ_TRIALS
     assert report.engine == "vectorized"
@@ -137,7 +136,10 @@ def test_planted_defect_report_is_engine_independent():
     for engine in ENGINE_NAMES:
         with pytest.raises(VerificationFailure) as excinfo:
             verify_binding(
-                binding, spec, trials=200, engine=engine, gate="off"
+                binding,
+                spec,
+                gate="off",
+                config=RunConfig(trials=200, engine=engine),
             )
         failure = excinfo.value
         assert failure.scenario is not None
@@ -162,10 +164,9 @@ def test_planted_defect_survives_offset_sharding():
             verify_binding(
                 binding,
                 spec,
-                trials=trials,
-                engine=engine,
                 gate="off",
                 offset=offset,
+                config=RunConfig(trials=trials, engine=engine),
             )
         except VerificationFailure as failure:
             return (str(failure), failure.scenario.inputs)

@@ -8,6 +8,7 @@ and in the codegen binding database.
 
 import pytest
 
+from repro.analysis import RunConfig
 from repro.analysis.binding import Binding
 from repro.analysis.runner import ShardSpec, execute_shards
 from repro.analysis import runner as runner_module
@@ -137,7 +138,11 @@ class TestVerifyGate:
             (RangeConstraint("Len", 1, 256), ValueConstraint("df", 0))
         )
         with pytest.raises(LintGateError) as excinfo:
-            verify_module.verify_binding(binding, spec=None, trials=50)
+            verify_module.verify_binding(
+                binding,
+                spec=None,
+                config=RunConfig(trials=50),
+            )
         assert any(d.code == "E301" for d in excinfo.value.diagnostics)
 
 

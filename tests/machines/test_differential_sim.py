@@ -23,10 +23,10 @@ import pytest
 
 from repro.asm import AsmProgram, Imm, Instr, Label, LabelRef, ParamRef, Reg
 from repro.machines import load_description
-from repro.machines.b4800.sim import B4800Simulator
-from repro.machines.i8086.sim import I8086Simulator
-from repro.machines.ibm370.sim import Ibm370Simulator
-from repro.machines.vax11.sim import Vax11Simulator
+from repro.machines.b4800 import B4800Simulator
+from repro.machines.i8086 import I8086Simulator
+from repro.machines.ibm370 import Ibm370Simulator
+from repro.machines.vax11 import Vax11Simulator
 from repro.semantics import ExecutionEngine, derive_seed
 
 TRIALS = 25

@@ -4,9 +4,9 @@ import pytest
 
 from repro.asm import AsmProgram, Imm, LabelRef, MemRef, ParamRef, Reg
 from repro.machines import SimulationError
-from repro.machines.i8086.sim import I8086Simulator
-from repro.machines.ibm370.sim import Ibm370Simulator
-from repro.machines.vax11.sim import Vax11Simulator
+from repro.machines.i8086 import I8086Simulator
+from repro.machines.ibm370 import Ibm370Simulator
+from repro.machines.vax11 import Vax11Simulator
 
 
 def program(machine, build):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.provenance as provenance
+from repro.analysis import RunConfig
 from repro.analysis.runner import run_batch
 
 
@@ -20,8 +21,14 @@ NAMES = ["scasb_rigel", "movc3_pc2", "eclipse_failure", "srl_listsearch"]
 class TestWarmRuns:
     def test_second_run_is_pure_cache(self, tmp_path):
         root = tmp_path / "cache"
-        cold = run_batch(names=NAMES, trials=20, cache_dir=root)
-        warm = run_batch(names=NAMES, trials=20, cache_dir=root)
+        cold = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
+        warm = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert cold.ok and warm.ok
         assert cold.cache_hits == 0
         assert cold.cache_lookup_misses == len(NAMES)
@@ -32,14 +39,20 @@ class TestWarmRuns:
 
     def test_full_catalog_warm_hit_rate(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(trials=8, cache_dir=root)
-        warm = run_batch(trials=8, cache_dir=root)
+        run_batch(config=RunConfig(trials=8, cache_dir=root))
+        warm = run_batch(config=RunConfig(trials=8, cache_dir=root))
         assert warm.cache_hits == len(warm.results) == 20
 
     def test_reports_identical_modulo_cache_field(self, tmp_path):
         root = tmp_path / "cache"
-        cold = run_batch(names=NAMES, trials=20, cache_dir=root)
-        warm = run_batch(names=NAMES, trials=20, cache_dir=root)
+        cold = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
+        warm = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert modulo_cache(cold) == modulo_cache(warm)
         assert json.loads(cold.to_json())["cache"] != (
             json.loads(warm.to_json())["cache"]
@@ -47,15 +60,21 @@ class TestWarmRuns:
 
     def test_warm_results_marked_cached(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root)
-        warm = run_batch(names=NAMES, trials=20, cache_dir=root)
+        run_batch(names=NAMES, config=RunConfig(trials=20, cache_dir=root))
+        warm = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert all(result.cached for result in warm.results)
         assert all(result.duration == 0.0 for result in warm.results)
 
     def test_expected_failures_are_memoized_too(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=["eclipse_failure"], cache_dir=root)
-        warm = run_batch(names=["eclipse_failure"], cache_dir=root)
+        run_batch(names=["eclipse_failure"], config=RunConfig(cache_dir=root))
+        warm = run_batch(
+            names=["eclipse_failure"],
+            config=RunConfig(cache_dir=root),
+        )
         (result,) = warm.results
         assert result.cached
         assert result.ok
@@ -65,21 +84,31 @@ class TestWarmRuns:
 class TestInvalidation:
     def test_trials_change_misses(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root)
-        other = run_batch(names=NAMES, trials=24, cache_dir=root)
+        run_batch(names=NAMES, config=RunConfig(trials=20, cache_dir=root))
+        other = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=24, cache_dir=root),
+        )
         assert other.cache_hits == 0
 
     def test_seed_change_misses(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root)
-        other = run_batch(names=NAMES, trials=20, seed=7, cache_dir=root)
+        run_batch(names=NAMES, config=RunConfig(trials=20, cache_dir=root))
+        other = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, seed=7, cache_dir=root),
+        )
         assert other.cache_hits == 0
 
     def test_engine_change_misses(self, tmp_path):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root, engine="vectorized")
+        run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root, engine="vectorized"),
+        )
         other = run_batch(
-            names=NAMES, trials=20, cache_dir=root, engine="interp"
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root, engine="interp"),
         )
         assert other.cache_hits == 0
 
@@ -87,14 +116,17 @@ class TestInvalidation:
         self, tmp_path, monkeypatch
     ):
         root = tmp_path / "cache"
-        run_batch(names=NAMES, trials=20, cache_dir=root)
+        run_batch(names=NAMES, config=RunConfig(trials=20, cache_dir=root))
         monkeypatch.setattr(provenance, "code_epoch", lambda: "f" * 64)
-        stale = run_batch(names=NAMES, trials=20, cache_dir=root)
+        stale = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert stale.cache_hits == 0
         assert stale.ok
 
     def test_no_cache_dir_disables_everything(self, tmp_path):
-        report = run_batch(names=NAMES, trials=20)
+        report = run_batch(names=NAMES, config=RunConfig(trials=20))
         assert not report.cache_enabled
         assert report.cache_hits == 0
         assert "cache" not in json.loads(report.to_json())
@@ -110,10 +142,16 @@ class TestWhatGetsStored:
             raise RuntimeError("injected fault")
 
         monkeypatch.setattr(scasb_rigel, "run", boom)
-        broken = run_batch(names=["scasb_rigel"], trials=20, cache_dir=root)
+        broken = run_batch(
+            names=["scasb_rigel"],
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert not broken.ok
         monkeypatch.undo()
-        retry = run_batch(names=["scasb_rigel"], trials=20, cache_dir=root)
+        retry = run_batch(
+            names=["scasb_rigel"],
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         assert retry.cache_hits == 0  # the error was never cached
         assert retry.ok
 
@@ -121,7 +159,10 @@ class TestWhatGetsStored:
         from repro.provenance import AnalysisTrace, TraceStore
 
         root = tmp_path / "cache"
-        run_batch(names=["movc3_pc2"], trials=20, cache_dir=root)
+        run_batch(
+            names=["movc3_pc2"],
+            config=RunConfig(trials=20, cache_dir=root),
+        )
         store = TraceStore(root)
         artifact = store.latest_for("movc3_pc2")
         assert artifact is not None
@@ -132,18 +173,48 @@ class TestWhatGetsStored:
 
     def test_pool_mode_populates_the_same_cache(self, tmp_path):
         root = tmp_path / "cache"
-        cold = run_batch(names=NAMES, trials=20, jobs=2, cache_dir=root)
-        warm = run_batch(names=NAMES, trials=20, jobs=1, cache_dir=root)
+        cold = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, jobs=2, cache_dir=root),
+        )
+        warm = run_batch(
+            names=NAMES,
+            config=RunConfig(trials=20, jobs=1, cache_dir=root),
+        )
         assert cold.cache_hits == 0
         assert warm.cache_hits == len(NAMES)
         assert modulo_cache(cold) == modulo_cache(warm)
+
+
+class TestStoreLifetime:
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_run_batch_closes_its_store(self, tmp_path, monkeypatch, backend):
+        # A sqlite connection left open sits in a reference cycle and
+        # keeps its native memory until a full collection, which a
+        # long-lived service reaches only rarely.
+        closed = []
+        close = provenance.TraceStore.close
+
+        def recording_close(store):
+            closed.append(store.backend_name)
+            close(store)
+
+        monkeypatch.setattr(provenance.TraceStore, "close", recording_close)
+        run_batch(
+            names=["scasb_rigel"],
+            config=RunConfig(trials=4, cache_dir=tmp_path, store_backend=backend),
+        )
+        assert closed == [backend]
 
 
 class TestCacheBench:
     def test_payload_shape(self):
         from repro.analysis.bench import CACHE_SCHEMA, run_cache_bench
 
-        payload = run_cache_bench(names=["movc3_pc2", "locc_rigel"], trials=12)
+        payload = run_cache_bench(
+            names=["movc3_pc2", "locc_rigel"],
+            config=RunConfig(trials=12),
+        )
         assert payload["schema"] == CACHE_SCHEMA
         assert payload["cold"]["misses"] == 2
         assert payload["warm"]["hits"] == 2

@@ -221,6 +221,92 @@ class TestErrors:
         with_service(config, scenario)
 
 
+class TestBadInputFailsClosed:
+    """Every request the routes do not accept is a 400 naming the field."""
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/batch", {"bogus": 1}, "bogus"),
+            ("/analyze", {"name": "scasb_rigel", "seed": 1}, "seed"),
+            ("/verify", {"name": "scasb_rigel", "verify": False}, "verify"),
+            ("/batch", {"trials": "abc"}, "trials"),
+            ("/batch", {"jobs": "two"}, "jobs"),
+            ("/batch", {"seed": 1.5}, "seed"),
+            ("/batch", {"verify": "no"}, "verify"),
+            ("/batch", {"names": "scasb_rigel"}, "names"),
+            ("/batch", {"jobs": 0}, "jobs"),
+            ("/verify", {"name": "scasb_rigel", "trials": -5}, "trials"),
+            ("/verify", {"trials": 6}, "name"),
+            ("/trace", {"name": ""}, "name"),
+        ],
+    )
+    def test_bad_body_is_400_naming_the_field(self, tmp_path, path, body, field):
+        async def scenario(client, service):
+            status, answer = await client.request_json("POST", path, body)
+            assert status == 400, answer
+            assert field in answer["error"]
+
+        with_service(make_config(tmp_path), scenario)
+
+    @pytest.mark.parametrize(
+        "target, field",
+        [
+            ("/replay?name=scasb_rigel", "name"),
+            ("/replay?name=", "name"),
+            ("/trace?name=scasb_rigel&trials=5", "trials"),
+        ],
+    )
+    def test_bad_query_is_400_naming_the_field(self, tmp_path, target, field):
+        async def scenario(client, service):
+            status, answer = await client.request_json("GET", target)
+            assert status == 400, answer
+            assert repr(field) in answer["error"]
+
+        with_service(make_config(tmp_path), scenario)
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3"])
+    def test_bad_content_length_is_400_and_closes(self, tmp_path, length):
+        async def scenario(client, service):
+            reader, writer = await asyncio.open_connection(
+                service.config.host, service.port
+            )
+            writer.write(
+                b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n{}"
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in reply
+            # the service is still up for the next client
+            status, _ = await client.request("GET", "/healthz")
+            assert status == 200
+
+        with_service(make_config(tmp_path), scenario)
+
+
+class TestCanonicalBatchBody:
+    def test_batch_body_is_the_cli_report_bytes(self, tmp_path):
+        from repro import api
+
+        names = ["scasb_rigel", "movsb_pascal"]
+
+        async def scenario(client, service):
+            return await client.request(
+                "POST", "/batch", {"names": names, "trials": 6}
+            )
+
+        status, body = with_service(
+            make_config(tmp_path, cache_dir=None), scenario
+        )
+        assert status == 200
+        expected = api.batch(names, api.RunConfig(trials=6)).to_json()
+        assert body == (expected + "\n").encode("utf-8")
+        assert b'"metrics"' not in body
+
+
 class TestLoadtest:
     def test_hermetic_loadtest_meets_service_gates(self, tmp_path):
         from repro.analysis.pool import shutdown_pool

@@ -197,6 +197,30 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
+class TestBadInputFailsClosed:
+    """A run plan the RunConfig checks reject never reaches a verdict."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "scasb_rigel", "--trials", "-5"], "trials"),
+            (["verify", "scasb_rigel", "--trials", "0"], "trials"),
+            (["analyze", "scasb_rigel", "--trials", "-1"], "trials"),
+            (["batch", "scasb_rigel", "--no-cache", "--jobs", "0"], "jobs"),
+            (["batch", "scasb_rigel", "--no-cache", "--timeout", "0"], "timeout"),
+            (["stats", "scasb_rigel", "--no-cache", "--trials", "-2"], "trials"),
+        ],
+    )
+    def test_bad_plan_is_usage_error(self, capsys, argv, field):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_unverified_analysis_may_run_zero_trials(self, capsys):
+        assert main(["analyze", "scasb_rigel", "--no-verify", "--trials", "0"]) == 0
+
+
 class TestHandlersDeclareExitCodes:
     def test_every_handler_returns_int(self):
         # The contract is structural too: main() returns whatever the

@@ -183,10 +183,15 @@ def test_api_docs_cover_every_runconfig_field():
 
 
 def test_api_docs_cover_migration_contract():
+    # The plan is one RunConfig per entry point (the per-field keyword
+    # aliases are gone), and a config checks its own fields.
     text = (DOCS / "api.md").read_text()
+    assert "Migration from legacy keywords" not in text
+    assert "DeprecationWarning" not in text
     for needle in (
-        "DeprecationWarning",
-        "TypeError",
+        "### Checks",
+        "ValueError",
+        "`trials=0, verify=False`",
         "run_batch",
         "verify_binding",
         "run_bench",
@@ -204,7 +209,7 @@ def test_design_doc_covers_observability_layer():
         "`repro.metrics/1`",
         "diff_snapshots",
         "RunConfig",
-        "DeprecationWarning",
+        "repro.operations",
         "docs/observability.md",
         "docs/api.md",
         "repro_provenance_hit_rate",
@@ -218,6 +223,29 @@ def test_service_docs_cover_every_endpoint():
     text = (DOCS / "service.md").read_text()
     for endpoint in ENDPOINTS:
         assert f"`/{endpoint}`" in text, endpoint
+
+
+def test_service_docs_rows_match_the_operation_table():
+    import re
+
+    from repro.operations import ROUTES
+
+    text = (DOCS / "service.md").read_text()
+    for path, op in ROUTES.items():
+        (row,) = [
+            line for line in text.splitlines()
+            if line.startswith(f"| `{path}` |")
+        ]
+        _, _, methods, body, _, _ = row.split("|")
+        assert methods.strip() == "/".join(op.http.methods), path
+        documented = {
+            name: optional == "?"
+            for name, optional in re.findall(r'"(\w+)"(\??)', body)
+        }
+        declared = {
+            param.name: not param.required for param in op.http.fields
+        }
+        assert documented == declared, path
 
 
 def test_service_docs_cover_contracts_and_bench_schema():
