@@ -366,12 +366,11 @@ def trace(
     from .provenance import TraceStore, trace_for
 
     _module_for(name)
-    store = (
-        None
-        if cache_dir is None
-        else TraceStore(cache_dir, backend=store_backend)
-    )
-    recorded, origin = trace_for(store, name)
+    store = None if cache_dir is None else TraceStore(cache_dir, backend=store_backend)
+    # Closed like run_batch's: an open sqlite connection sits in a
+    # reference cycle and keeps its native memory until a full collection.
+    with contextlib.closing(store) if store is not None else contextlib.nullcontext():
+        recorded, origin = trace_for(store, name)
     if recorded is None:
         return None
     return TraceResult(name=name, origin=origin, trace=recorded)
@@ -427,35 +426,32 @@ def replay(
     from .transform import ReplayDivergenceError, TransformError
 
     entries = resolve_names(names)
-    store = (
-        None
-        if cache_dir is None
-        else TraceStore(cache_dir, backend=store_backend)
-    )
+    store = None if cache_dir is None else TraceStore(cache_dir, backend=store_backend)
     verdicts: List[ReplayEntry] = []
-    for entry in entries:
-        module = importlib.import_module(f"repro.analyses.{entry.name}")
-        recorded, origin = trace_for(store, entry.name)
-        if recorded is None:
+    with contextlib.closing(store) if store is not None else contextlib.nullcontext():
+        for entry in entries:
+            module = importlib.import_module(f"repro.analyses.{entry.name}")
+            recorded, origin = trace_for(store, entry.name)
+            if recorded is None:
+                verdicts.append(
+                    ReplayEntry(entry.name, False, origin, error="no trace recorded")
+                )
+                continue
+            error = None
+            try:
+                replay_analysis(recorded, module.OPERATOR(), module.INSTRUCTION())
+            except (ReplayDivergenceError, TransformError) as failure:
+                error = str(failure)
             verdicts.append(
-                ReplayEntry(entry.name, False, origin, error="no trace recorded")
+                ReplayEntry(
+                    name=entry.name,
+                    ok=error is None,
+                    origin=origin,
+                    steps=recorded.steps,
+                    digest=recorded.digest(),
+                    error=error,
+                )
             )
-            continue
-        error = None
-        try:
-            replay_analysis(recorded, module.OPERATOR(), module.INSTRUCTION())
-        except (ReplayDivergenceError, TransformError) as failure:
-            error = str(failure)
-        verdicts.append(
-            ReplayEntry(
-                name=entry.name,
-                ok=error is None,
-                origin=origin,
-                steps=recorded.steps,
-                digest=recorded.digest(),
-                error=error,
-            )
-        )
     return ReplayResult(entries=tuple(verdicts))
 
 

@@ -31,7 +31,7 @@ from .randomgen import (
     generate_scenario_at,
     generate_scenarios,
 )
-from .state import Memory, RegisterFile
+from .state import Memory
 from .vectorized import (
     BatchResult,
     ScenarioBatch,
@@ -81,7 +81,6 @@ __all__ = [
     "generate_scenario_at",
     "generate_scenarios",
     "Memory",
-    "RegisterFile",
     "BOOLEAN_OPS",
     "BYTE_BITS",
     "BYTE_MASK",

@@ -2,8 +2,9 @@
 
 Two engines execute descriptions:
 
-* ``interp`` — the big-step tree-walking interpreter
-  (:mod:`repro.semantics.interpreter`), the *reference* semantics;
+* ``interp`` — the big-step interpreter
+  (:mod:`repro.semantics.interpreter`), the *reference* semantics,
+  which resolves each description once into one closure per node;
 * ``vectorized`` — generated batch kernels
   (:mod:`repro.semantics.vectorized`) that run N machine states at
   once over numpy arrays (or a pure-python vector fallback), with
@@ -40,7 +41,7 @@ from .interpreter import (
     StepLimitExceeded,
 )
 from .randomgen import ScenarioBatch, derive_seed
-from .vectorized import BatchResult, VectorizedDescription
+from .vectorized import BatchResult, VectorizedDescription, lanes_inputs
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
 ENGINE_NAMES: Tuple[str, ...] = ("interp", "vectorized")
@@ -83,21 +84,6 @@ def _observe(executor, inputs, memory):
         return ("result", executor.run(inputs, memory))
     except (StepLimitExceeded, AssertionFailed, SemanticError, ValueError) as error:
         return ("raise", type(error).__name__, str(error), error)
-
-
-def _lane_inputs(inputs: Mapping[str, Any], lane: int) -> Mapping[str, int]:
-    """Scalar inputs for one lane of a batch input mapping."""
-    return {
-        name: int(value) if isinstance(value, int) else int(value[lane])
-        for name, value in inputs.items()
-    }
-
-
-def _lane_memory(memory, lane: int):
-    """Scalar initial memory for one lane of a batch memory argument."""
-    if isinstance(memory, ScenarioBatch):
-        return memory.lane_memory(lane)
-    return memory
 
 
 @lru_cache(maxsize=1 << 14)
@@ -201,9 +187,12 @@ class _GatedExecutor:
 
         Each window of a :class:`ScenarioBatch` ``memory`` (any other
         batch is one window) numbers its lanes from the executor's next
-        trial.  Gated lanes are re-executed by the interpreter and
-        compared via :meth:`BatchResult.lane_outcome`, which has the
-        same shape ``_observe`` produces.
+        trial.  The gated lanes of every window are collected first and
+        read in one columnar step — their outcomes via
+        :meth:`BatchResult.lane_outcomes`, which has the shape
+        ``_observe`` produces, their inputs and initial memories beside
+        them — then re-executed by the interpreter and compared lane by
+        lane, window by window.
         """
         base = self._trial
         result = self._primary.run_batch(inputs, memory, n=n)
@@ -211,17 +200,20 @@ class _GatedExecutor:
         windows = (
             memory.windows if isinstance(memory, ScenarioBatch) else ()
         ) or (result.n,)
-        start = 0
+        lanes, indices, start = [], [], 0
         for count in windows:
             for position in self._checked(base, count):
-                lane = start + position
-                self._compare(
-                    result.lane_outcome(lane),
-                    _lane_inputs(inputs, lane),
-                    _lane_memory(memory, lane),
-                    base + position,
-                )
+                lanes.append(start + position)
+                indices.append(base + position)
             start += count
+        if isinstance(memory, ScenarioBatch):
+            memories = memory.lanes_memory(lanes)
+        else:
+            memories = [memory] * len(lanes)
+        for got, lane_inputs, lane_memory, index in zip(
+            result.lane_outcomes(lanes), lanes_inputs(inputs, lanes), memories, indices
+        ):
+            self._compare(got, lane_inputs, lane_memory, index)
         return result
 
 

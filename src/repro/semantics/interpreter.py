@@ -19,17 +19,31 @@ Execution model
 * ``exit_when`` leaves the innermost ``repeat`` when its condition is
   true.  A configurable step budget guards against non-termination.
 * ``assert`` statements introduced by analysis are checked at runtime.
+
+A description is resolved once, when its :class:`Interpreter` is built:
+every statement and expression becomes one closure transcribing the
+node's big-step rule, with names, widths, callees and operator
+functions already looked up.  Resolution raises nothing a run may not
+reach: an undeclared name or routine, a wrong arity, an unknown
+operator or a duplicate register raises only in a run that gets there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..isdl import ast
 from ..isdl.errors import SemanticError
-from .state import Memory, RegisterFile
-from .values import apply_binop, apply_unop, truncate, truth
+from .values import (
+    BINARY_OPS,
+    BYTE_MASK,
+    UNARY_OPS,
+    apply_binop,
+    apply_unop,
+    width_bits,
+)
 
 
 class StepLimitExceeded(SemanticError):
@@ -54,13 +68,46 @@ class ExecutionResult:
     steps: int
 
 
-@dataclass
-class _Frame:
-    """A routine activation: call-by-value params plus the return slot."""
+class _Run:
+    """The state of one run; each call's frame is a list
+    ``[return value, *arguments]`` passed beside it."""
 
-    routine: ast.RoutineDecl
-    locals: Dict[str, int] = field(default_factory=dict)
-    return_value: int = 0
+    __slots__ = ("regs", "mem", "inputs", "outputs", "steps")
+
+    def __init__(self, nregs: int, inputs, memory) -> None:
+        self.regs = [0] * nregs
+        self.mem = dict(memory) if memory else {}
+        self.inputs = dict(inputs)
+        self.outputs: List[int] = []
+        self.steps = 0
+
+
+#: A resolved node: ``node(run, frame)``, a value for an expression.
+_Node = Callable[[_Run, list], Any]
+
+#: Where a node resolves names: its routine's name and parameter slots.
+_Scope = Tuple[str, Dict[str, int]]
+
+
+def _mask(width: Optional[ast.Width]) -> int:
+    """The store mask of ``width``; -1 keeps an unbounded integer."""
+    bits = width_bits(width)
+    return -1 if bits is None else (1 << bits) - 1
+
+
+def _raiser(message: str, *operands: _Node) -> _Node:
+    """A node that evaluates ``operands`` and then raises ``message``."""
+
+    def fail(st, fr):
+        for operand in operands:
+            operand(st, fr)
+        raise SemanticError(message)
+
+    return fail
+
+
+#: The wrong-arity message: routine name, parameter and argument counts.
+_ARITY = "routine {!r} expects {} arguments, got {}"
 
 
 class Interpreter:
@@ -75,6 +122,21 @@ class Interpreter:
                 raise SemanticError(f"duplicate routine {routine.name!r}")
             self._routines[routine.name] = routine
         self._entry = description.entry_routine()
+        self._step_limit = f"{description.name}: exceeded {max_steps} steps"
+        decls = description.registers()
+        self._names = tuple(decl.name for decl in decls)
+        self._registers = {
+            decl.name: (slot, _mask(decl.width)) for slot, decl in enumerate(decls)
+        }
+        self._duplicates = [
+            name for slot, name in enumerate(self._names) if name in self._names[:slot]
+        ]
+        # Calls bind a routine's one-slot cell, so recursive and
+        # forward calls resolve before every body is built.
+        self._bodies: Dict[str, List[_Node]] = {name: [] for name in self._routines}
+        for name, routine in self._routines.items():
+            params = {param: i + 1 for i, param in enumerate(routine.params)}
+            self._bodies[name].append(self._block(routine.body, (name, params)))
 
     @property
     def description(self) -> ast.Description:
@@ -91,130 +153,232 @@ class Interpreter:
         routine's ``input`` statement (missing names default to 0, matching
         an uninitialized register); ``memory`` pre-loads ``Mb``.
         """
-        self._registers = RegisterFile(self._description.registers())
-        self._memory = Memory(dict(memory) if memory else {})
-        self._inputs = dict(inputs)
-        self._outputs: List[int] = []
-        self._steps = 0
-        self._call_stack: List[_Frame] = []
-        self._exec_routine(self._entry, ())
+        if self._duplicates:
+            raise SemanticError(
+                f"duplicate register declaration {self._duplicates[0]!r}"
+            )
+        if self._entry.params:
+            entry = self._entry
+            raise SemanticError(_ARITY.format(entry.name, len(entry.params), 0))
+        st = _Run(len(self._names), inputs, memory)
+        self._bodies[self._entry.name][0](st, [0])
         return ExecutionResult(
-            outputs=tuple(self._outputs),
-            memory=self._memory.snapshot(),
-            registers=dict(self._registers.items()),
-            steps=self._steps,
+            outputs=tuple(st.outputs),
+            memory={addr: value for addr, value in st.mem.items() if value != 0},
+            registers=dict(zip(self._names, st.regs)),
+            steps=st.steps,
         )
 
     # ------------------------------------------------------------------
     # statements
 
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise StepLimitExceeded(
-                f"{self._description.name}: exceeded {self._max_steps} steps"
-            )
+    def _block(self, stmts: Tuple[ast.Stmt, ...], scope: _Scope) -> _Node:
+        """Each statement ticks the step budget, then runs."""
+        body = tuple(self._stmt(stmt, scope) for stmt in stmts)
+        limit, message = self._max_steps, self._step_limit
 
-    def _exec_routine(self, routine: ast.RoutineDecl, args: Tuple[int, ...]) -> int:
-        if len(args) != len(routine.params):
-            raise SemanticError(
-                f"routine {routine.name!r} expects {len(routine.params)} "
-                f"arguments, got {len(args)}"
-            )
-        frame = _Frame(routine=routine, locals=dict(zip(routine.params, args)))
-        self._call_stack.append(frame)
-        try:
-            self._exec_block(routine.body)
-        finally:
-            self._call_stack.pop()
-        return truncate(frame.return_value, routine.width)
+        def block(st, fr):
+            for stmt in body:
+                st.steps += 1
+                if st.steps > limit:
+                    raise StepLimitExceeded(message)
+                stmt(st, fr)
 
-    def _exec_block(self, stmts: Tuple[ast.Stmt, ...]) -> None:
-        for stmt in stmts:
-            self._exec_stmt(stmt)
+        return block
 
-    def _exec_stmt(self, stmt: ast.Stmt) -> None:
-        self._tick()
-        if isinstance(stmt, ast.Assign):
-            value = self._eval(stmt.expr)
-            self._store(stmt.target, value)
-        elif isinstance(stmt, ast.If):
-            if truth(self._eval(stmt.cond)):
-                self._exec_block(stmt.then)
-            else:
-                self._exec_block(stmt.els)
-        elif isinstance(stmt, ast.Repeat):
+    def _stmt(self, stmt: ast.Stmt, scope: _Scope) -> _Node:
+        build = _STATEMENTS.get(type(stmt))
+        return build(self, stmt, scope) if build else _raiser(
+            f"cannot execute {type(stmt).__name__}"
+        )
+
+    def _assign(self, stmt: ast.Assign, scope: _Scope) -> _Node:
+        """The value evaluates first, then a memory target's address."""
+        value = self._expr(stmt.expr, scope)
+        if isinstance(stmt.target, ast.Var):
+            return self._store(stmt.target.name, value, scope)
+        addr = self._expr(stmt.target.addr, scope)
+
+        def write(st, fr):
+            v = value(st, fr)
+            a = addr(st, fr)
+            if a < 0:
+                raise SemanticError(f"memory write at negative address {a}")
+            st.mem[a] = v & BYTE_MASK
+
+        return write
+
+    def _store(self, name: str, value: _Node, scope: _Scope) -> _Node:
+        """``name <- value``: the return slot, a parameter, a register."""
+        routine, params = scope
+        if name == routine or name in params:
+            index = 0 if name == routine else params[name]
+
+            def store(st, fr):
+                fr[index] = value(st, fr)
+
+        elif name in self._registers:
+            slot, mask = self._registers[name]
+
+            def store(st, fr):
+                st.regs[slot] = value(st, fr) & mask
+
+        else:
+            return _raiser(f"assignment to undeclared name {name!r}", value)
+        return store
+
+    def _if(self, stmt: ast.If, scope: _Scope) -> _Node:
+        cond = self._expr(stmt.cond, scope)
+        then = self._block(stmt.then, scope)
+        els = self._block(stmt.els, scope)
+        return lambda st, fr: then(st, fr) if cond(st, fr) else els(st, fr)
+
+    def _repeat(self, stmt: ast.Repeat, scope: _Scope) -> _Node:
+        """Each iteration ticks once more before its body."""
+        body = self._block(stmt.body, scope)
+        limit, message = self._max_steps, self._step_limit
+
+        def repeat(st, fr):
             try:
                 while True:
-                    self._tick()
-                    self._exec_block(stmt.body)
+                    st.steps += 1
+                    if st.steps > limit:
+                        raise StepLimitExceeded(message)
+                    body(st, fr)
             except _LoopExit:
                 pass
-        elif isinstance(stmt, ast.ExitWhen):
-            if truth(self._eval(stmt.cond)):
-                raise _LoopExit()
-        elif isinstance(stmt, ast.Input):
-            for name in stmt.names:
-                self._store(ast.Var(name), self._inputs.get(name, 0))
-        elif isinstance(stmt, ast.Output):
-            for expr in stmt.exprs:
-                self._outputs.append(self._eval(expr))
-        elif isinstance(stmt, ast.Assert):
-            if not truth(self._eval(stmt.cond)):
-                raise AssertionFailed(
-                    f"{self._description.name}: assertion failed"
-                )
-        else:
-            raise SemanticError(f"cannot execute {type(stmt).__name__}")
 
-    def _store(self, target, value: int) -> None:
-        if isinstance(target, ast.MemRead):
-            self._memory.write(self._eval(target.addr), value)
-            return
-        name = target.name
-        frame = self._call_stack[-1] if self._call_stack else None
-        if frame is not None:
-            if name == frame.routine.name:
-                frame.return_value = value
-                return
-            if name in frame.locals:
-                frame.locals[name] = value
-                return
-        if self._registers.has(name):
-            self._registers.write(name, value)
-            return
-        raise SemanticError(f"assignment to undeclared name {name!r}")
+        return repeat
+
+    def _exit_when(self, stmt: ast.ExitWhen, scope: _Scope) -> _Node:
+        """A true condition leaves the innermost dynamically enclosing
+        ``repeat``, across routine calls."""
+        cond = self._expr(stmt.cond, scope)
+
+        def exit_when(st, fr):
+            if cond(st, fr):
+                raise _LoopExit()
+
+        return exit_when
+
+    def _input(self, stmt: ast.Input, scope: _Scope) -> _Node:
+        """Each name is assigned its input, 0 when none is given."""
+        stores = tuple(
+            self._store(name, lambda st, fr, name=name: st.inputs.get(name, 0), scope)
+            for name in stmt.names
+        )
+
+        def input_(st, fr):
+            for store in stores:
+                store(st, fr)
+
+        return input_
+
+    def _output(self, stmt: ast.Output, scope: _Scope) -> _Node:
+        exprs = tuple(self._expr(expr, scope) for expr in stmt.exprs)
+        return lambda st, fr: st.outputs.extend([expr(st, fr) for expr in exprs])
+
+    def _assert(self, stmt: ast.Assert, scope: _Scope) -> _Node:
+        cond = self._expr(stmt.cond, scope)
+        message = f"{self._description.name}: assertion failed"
+
+        def assert_(st, fr):
+            if not cond(st, fr):
+                raise AssertionFailed(message)
+
+        return assert_
 
     # ------------------------------------------------------------------
     # expressions
 
-    def _eval(self, expr: ast.Expr) -> int:
-        if isinstance(expr, ast.Const):
-            return expr.value
-        if isinstance(expr, ast.Var):
-            return self._load(expr.name)
-        if isinstance(expr, ast.MemRead):
-            return self._memory.read(self._eval(expr.addr))
-        if isinstance(expr, ast.Call):
-            routine = self._routines.get(expr.name)
-            if routine is None:
-                raise SemanticError(f"call to undeclared routine {expr.name!r}")
-            args = tuple(self._eval(arg) for arg in expr.args)
-            return self._exec_routine(routine, args)
-        if isinstance(expr, ast.BinOp):
-            return apply_binop(expr.op, self._eval(expr.left), self._eval(expr.right))
-        if isinstance(expr, ast.UnOp):
-            return apply_unop(expr.op, self._eval(expr.operand))
-        raise SemanticError(f"cannot evaluate {type(expr).__name__}")
+    def _expr(self, expr: ast.Expr, scope: _Scope) -> _Node:
+        build = _EXPRESSIONS.get(type(expr))
+        return build(self, expr, scope) if build else _raiser(
+            f"cannot evaluate {type(expr).__name__}"
+        )
 
-    def _load(self, name: str) -> int:
-        frame = self._call_stack[-1] if self._call_stack else None
-        if frame is not None:
-            if name in frame.locals:
-                return frame.locals[name]
-            if name == frame.routine.name:
-                return frame.return_value
-        return self._registers.read(name)
+    def _const(self, expr: ast.Const, scope: _Scope) -> _Node:
+        value = expr.value
+        return lambda st, fr: value
+
+    def _var(self, expr: ast.Var, scope: _Scope) -> _Node:
+        """A parameter, the routine's return slot, then a register."""
+        name, (routine, params) = expr.name, scope
+        if name in params or name == routine:
+            index = params.get(name, 0)
+            return lambda st, fr: fr[index]
+        if name in self._registers:
+            slot = self._registers[name][0]
+            return lambda st, fr: st.regs[slot]
+        return _raiser(f"reference to undeclared register {name!r}")
+
+    def _memread(self, expr: ast.MemRead, scope: _Scope) -> _Node:
+        addr = self._expr(expr.addr, scope)
+
+        def read(st, fr):
+            a = addr(st, fr)
+            if a < 0:
+                raise SemanticError(f"memory read at negative address {a}")
+            return st.mem.get(a, 0)
+
+        return read
+
+    def _call(self, expr: ast.Call, scope: _Scope) -> _Node:
+        """Arguments evaluate left to right, then the arity is checked."""
+        callee = self._routines.get(expr.name)
+        if callee is None:
+            return _raiser(f"call to undeclared routine {expr.name!r}")
+        args = tuple(self._expr(arg, scope) for arg in expr.args)
+        if len(args) != len(callee.params):
+            message = _ARITY.format(callee.name, len(callee.params), len(args))
+            return _raiser(message, *args)
+        cell = self._bodies[expr.name]
+        mask = _mask(callee.width)
+
+        def call(st, fr):
+            frame = [0] + [arg(st, fr) for arg in args]
+            cell[0](st, frame)
+            return frame[0] & mask
+
+        return call
+
+    def _binop(self, expr: ast.BinOp, scope: _Scope) -> _Node:
+        """Both operands evaluate, left first, before the operator
+        applies; an unknown operator raises only then."""
+        op = BINARY_OPS.get(expr.op) or partial(apply_binop, expr.op)
+        left = self._expr(expr.left, scope)
+        if isinstance(expr.right, ast.Const):
+            value = expr.right.value
+            return lambda st, fr: op(left(st, fr), value)
+        right = self._expr(expr.right, scope)
+        return lambda st, fr: op(left(st, fr), right(st, fr))
+
+    def _unop(self, expr: ast.UnOp, scope: _Scope) -> _Node:
+        op = UNARY_OPS.get(expr.op) or partial(apply_unop, expr.op)
+        operand = self._expr(expr.operand, scope)
+        return lambda st, fr: op(operand(st, fr))
+
+
+#: One builder per statement kind, each transcribing its big-step rule.
+_STATEMENTS = {
+    ast.Assign: Interpreter._assign,
+    ast.If: Interpreter._if,
+    ast.Repeat: Interpreter._repeat,
+    ast.ExitWhen: Interpreter._exit_when,
+    ast.Input: Interpreter._input,
+    ast.Output: Interpreter._output,
+    ast.Assert: Interpreter._assert,
+}
+
+#: One builder per expression kind.
+_EXPRESSIONS = {
+    ast.Const: Interpreter._const,
+    ast.Var: Interpreter._var,
+    ast.MemRead: Interpreter._memread,
+    ast.Call: Interpreter._call,
+    ast.BinOp: Interpreter._binop,
+    ast.UnOp: Interpreter._unop,
+}
 
 
 def run_description(

@@ -339,16 +339,22 @@ class ScenarioBatch:
         return {name: int(vec[lane]) for name, vec in self.inputs.items()}
 
     def lane_memory(self, lane: int) -> Dict[int, int]:
-        if self.scenarios:
-            return dict(self.scenarios[lane].memory)
-        count = self.spec.max_length + 4
-        memory: Dict[int, int] = {}
-        row = self.image[lane]
-        for _, base_vec in self.bases.items():
-            base = int(base_vec[lane])
-            for off in range(count):
-                memory[base + off] = int(row[base + off])
-        return memory
+        return self.lanes_memory([lane])[0]
+
+    def lanes_memory(self, lanes: Sequence[int]) -> List[Dict[int, int]]:
+        """Each of ``lanes``' initial memory: every address operand's
+        arena window, read with one gather per operand."""
+        if self.image is None:
+            return [dict(self.scenarios[lane].memory) for lane in lanes]
+        index = _np.asarray(lanes, dtype=_np.intp)
+        span = _np.arange(self.spec.max_length + 4)
+        memories: List[Dict[int, int]] = [{} for _ in range(len(index))]
+        for base_vec in self.bases.values():
+            bases = base_vec[index]
+            block = self.image[index[:, None], bases[:, None] + span].tolist()
+            for memory, base, cells in zip(memories, bases.tolist(), block):
+                memory.update(zip(range(base, base + len(span)), cells))
+        return memories
 
     def scenario(self, lane: int) -> Scenario:
         """The exact :class:`Scenario` this lane was drawn from."""

@@ -1,4 +1,4 @@
-"""Machine state for ISDL execution: registers plus byte memory ``Mb``.
+"""Byte memory ``Mb`` for machine simulators.
 
 Memory is a sparse mapping from address to byte; unwritten cells read as
 zero.  Addresses are exact integers — the descriptions themselves decide
@@ -9,11 +9,10 @@ is stored back into such a register, not when memory is indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
-from ..isdl import ast
 from ..isdl.errors import SemanticError
-from .values import BYTE_MASK, truncate
+from .values import BYTE_MASK
 
 
 @dataclass
@@ -46,53 +45,3 @@ class Memory:
 
     def copy(self) -> "Memory":
         return Memory(dict(self.cells))
-
-
-class RegisterFile:
-    """Named registers with their declared widths.
-
-    Every assignment truncates to the register's declared width, which is
-    how fixed-width wrap-around semantics (and the paper's size
-    constraints) become observable during differential testing.
-    """
-
-    def __init__(self, decls: Iterable[ast.RegDecl]):
-        self._widths: Dict[str, Optional[ast.Width]] = {}
-        self._values: Dict[str, int] = {}
-        for decl in decls:
-            if decl.name in self._widths:
-                raise SemanticError(f"duplicate register declaration {decl.name!r}")
-            self._widths[decl.name] = decl.width
-            self._values[decl.name] = 0
-
-    def declare(self, name: str, width: Optional[ast.Width]) -> None:
-        if name in self._widths:
-            raise SemanticError(f"duplicate register declaration {name!r}")
-        self._widths[name] = width
-        self._values[name] = 0
-
-    def has(self, name: str) -> bool:
-        return name in self._widths
-
-    def width(self, name: str) -> Optional[ast.Width]:
-        try:
-            return self._widths[name]
-        except KeyError:
-            raise SemanticError(f"reference to undeclared register {name!r}")
-
-    def read(self, name: str) -> int:
-        try:
-            return self._values[name]
-        except KeyError:
-            raise SemanticError(f"reference to undeclared register {name!r}")
-
-    def write(self, name: str, value: int) -> None:
-        if name not in self._widths:
-            raise SemanticError(f"assignment to undeclared register {name!r}")
-        self._values[name] = truncate(value, self._widths[name])
-
-    def snapshot(self) -> Dict[int, int]:
-        return dict(self._values)
-
-    def items(self) -> Mapping[str, int]:
-        return dict(self._values)

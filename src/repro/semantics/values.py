@@ -14,7 +14,8 @@ happens when a value is *stored*.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import operator
+from typing import Callable, Dict, Optional, Union
 
 from ..isdl import ast
 
@@ -58,46 +59,46 @@ def as_flag(value: Union[int, bool]) -> int:
     return 1 if value else 0
 
 
-def apply_binop(op: str, left: int, right: int) -> int:
-    """Evaluate a binary operator on exact integers.
+#: Binary operators on exact integers.  Logical operators do **not**
+#: short-circuit: both operands are always evaluated before one of
+#: these is called.  Descriptions are expected to keep conditions
+#: side-effect free; the transformation guards check purity before
+#: rewriting conditions.
+BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "=": lambda left, right: 1 if left == right else 0,
+    "<>": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+    "and": lambda left, right: 1 if left != 0 and right != 0 else 0,
+    "or": lambda left, right: 1 if left != 0 or right != 0 else 0,
+}
 
-    Logical operators do **not** short-circuit: both operands are always
-    evaluated by the interpreter before this is called.  Descriptions are
-    expected to keep conditions side-effect free; the transformation
-    guards check purity before rewriting conditions.
-    """
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "=":
-        return as_flag(left == right)
-    if op == "<>":
-        return as_flag(left != right)
-    if op == "<":
-        return as_flag(left < right)
-    if op == "<=":
-        return as_flag(left <= right)
-    if op == ">":
-        return as_flag(left > right)
-    if op == ">=":
-        return as_flag(left >= right)
-    if op == "and":
-        return as_flag(truth(left) and truth(right))
-    if op == "or":
-        return as_flag(truth(left) or truth(right))
-    raise ValueError(f"unknown binary operator {op!r}")
+#: Unary operators on exact integers.
+UNARY_OPS: Dict[str, Callable[[int], int]] = {
+    "not": lambda operand: 1 if operand == 0 else 0,
+    "-": operator.neg,
+}
+
+
+def apply_binop(op: str, left: int, right: int) -> int:
+    """Evaluate a binary operator (see :data:`BINARY_OPS`)."""
+    fn = BINARY_OPS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown binary operator {op!r}")
+    return fn(left, right)
 
 
 def apply_unop(op: str, operand: int) -> int:
-    """Evaluate a unary operator on an exact integer."""
-    if op == "not":
-        return as_flag(not truth(operand))
-    if op == "-":
-        return -operand
-    raise ValueError(f"unknown unary operator {op!r}")
+    """Evaluate a unary operator (see :data:`UNARY_OPS`)."""
+    fn = UNARY_OPS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown unary operator {op!r}")
+    return fn(operand)
 
 
 #: Operators whose result is always 0 or 1.

@@ -1,10 +1,9 @@
 """Batch (SIMD-style) ISDL execution engine: N trials per array op.
 
-The big-step interpreter (:mod:`repro.semantics.interpreter`) pays
-per-node dispatch on every statement of every trial, one machine state
-at a time, so a 240-trial verification pays 240 full passes over the
-description.  This module lowers a description *once* into a
-lane-masked kernel that executes all N randomized states together:
+The big-step interpreter (:mod:`repro.semantics.interpreter`) runs one
+machine state at a time, so a 240-trial verification pays 240 full
+passes over the description.  This module lowers a description *once*
+into a lane-masked kernel that executes all N randomized states together:
 registers become length-N vectors, ``Mb`` a dense ``(N, width)`` byte
 image, and control flow is resolved with active-lane masks instead of
 branches:
@@ -373,11 +372,6 @@ class _NumpyOps:
             return int(vec[lane])
         return int(vec)
 
-    def mask_at(self, m, lane):
-        if isinstance(m, _np.ndarray):
-            return bool(m[lane])
-        return bool(m)
-
     def freeze(self, v):
         if isinstance(v, _np.ndarray):
             return v.copy()
@@ -496,9 +490,13 @@ class _NpMem:
         vv = v[m] if isinstance(v, _np.ndarray) else v
         self.img[sel, a] = vv & BYTE_MASK
 
-    def snapshot_lane(self, lane) -> Dict[int, int]:
-        row = self.img[lane]
-        return {int(i): int(row[i]) for i in _np.nonzero(row)[0]}
+    def snapshot_lanes(self, lanes) -> List[Dict[int, int]]:
+        """Nonzero cells of each of ``lanes``, in address order."""
+        snapshots = []
+        for row in self.img[lanes]:
+            cells = row.nonzero()[0]
+            snapshots.append(dict(zip(cells.tolist(), row[cells].tolist())))
+        return snapshots
 
 
 class _PyMem:
@@ -514,7 +512,7 @@ class _PyMem:
 
     @classmethod
     def from_batch(cls, batch: ScenarioBatch) -> "_PyMem":
-        return cls([batch.lane_memory(i) for i in range(batch.n)])
+        return cls(batch.lanes_memory(range(batch.n)))
 
     @classmethod
     def from_dict(cls, cells: Mapping[int, int], n: int) -> "_PyMem":
@@ -536,8 +534,8 @@ class _PyMem:
             if ops.mask_at(m, i):
                 d[ops.at(addr, i)] = ops.at(v, i) & BYTE_MASK
 
-    def snapshot_lane(self, lane) -> Dict[int, int]:
-        return {a: v for a, v in self.cells[lane].items() if v}
+    def snapshot_lanes(self, lanes) -> List[Dict[int, int]]:
+        return [{a: v for a, v in self.cells[lane].items() if v} for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -1534,14 +1532,39 @@ def _rebuild_error(kind: str, message: str) -> Exception:
     return _EXC_TYPES[kind](message)
 
 
+def _index(lanes):
+    """``lanes`` as a fancy index when numpy is present."""
+    return _np.asarray(lanes, dtype=_np.intp) if HAVE_NUMPY else list(lanes)
+
+
+def _gather(vec, lanes) -> list:
+    """A vector's, mask's or input column's scalar at each of ``lanes``
+    (a scalar broadcasts); masks come back truthy or falsy."""
+    if HAVE_NUMPY and isinstance(vec, _np.ndarray):
+        return vec[lanes].tolist()
+    if isinstance(vec, (PyVec, PyMask)):
+        return [vec.v[lane] for lane in lanes]
+    if isinstance(vec, (list, tuple)):
+        return [int(vec[lane]) for lane in lanes]
+    return [int(vec)] * len(lanes)
+
+
+def lanes_inputs(inputs: Mapping[str, Any], lanes) -> List[Dict[str, int]]:
+    """Each of ``lanes``' scalar inputs, read from batch input columns."""
+    index = _index(lanes)
+    columns = [(name, _gather(value, index)) for name, value in inputs.items()]
+    return [{name: column[j] for name, column in columns} for j in range(len(index))]
+
+
 @dataclass
 class BatchResult:
     """Everything observable about one batch run, lane-addressable.
 
-    ``lane_outcome`` normalizes a lane to the same shape the engine
+    ``lane_outcomes`` normalizes lanes to the same shape the engine
     facade's ``_observe`` uses — ``("result", ExecutionResult)`` or
     ``("raise", type name, message, exception)`` — so differential
-    comparison is a tuple equality per lane.
+    comparison is a tuple equality per lane.  It reads every requested
+    lane with one gather per register, output, step and memory vector.
     """
 
     n: int
@@ -1557,31 +1580,31 @@ class BatchResult:
     def ok(self, lane: int) -> bool:
         return self.errors[lane] is None
 
-    def outputs_for(self, lane: int) -> Tuple[int, ...]:
-        ops = self._ops
-        return tuple(
-            ops.at(value, lane)
-            for value, mask in self._outputs
-            if ops.mask_at(mask, lane)
-        )
+    def _lanes_outputs(self, index) -> List[Tuple[int, ...]]:
+        """Each indexed lane's outputs, in emission order."""
+        columns = [(_gather(v, index), _gather(m, index)) for v, m in self._outputs]
+        return [tuple(v[j] for v, m in columns if m[j]) for j in range(len(index))]
 
-    def lane_result(self, lane: int) -> ExecutionResult:
-        ops = self._ops
-        return ExecutionResult(
-            outputs=self.outputs_for(lane),
-            memory=self._mem.snapshot_lane(lane),
-            registers={
-                name: ops.at(vec, lane) for name, vec in self.registers.items()
-            },
-            steps=ops.at(self.steps, lane),
-        )
+    def lane_outcomes(self, lanes: Sequence[int]) -> list:
+        """The outcome of each of ``lanes``, in order."""
+        index = _index(lanes)
+        outputs = self._lanes_outputs(index)
+        memories = self._mem.snapshot_lanes(index)
+        steps = _gather(self.steps, index)
+        regs = [(name, _gather(vec, index)) for name, vec in self.registers.items()]
+        outcomes = []
+        for j, lane in enumerate(lanes):
+            error = self.errors[lane]
+            if error is None:
+                values = {name: column[j] for name, column in regs}
+                result = ExecutionResult(outputs[j], memories[j], values, steps[j])
+                outcomes.append(("result", result))
+            else:
+                outcomes.append(("raise", error[0], error[1], _rebuild_error(*error)))
+        return outcomes
 
     def lane_outcome(self, lane: int):
-        error = self.errors[lane]
-        if error is None:
-            return ("result", self.lane_result(lane))
-        exc = _rebuild_error(*error)
-        return ("raise", error[0], error[1], exc)
+        return self.lane_outcomes([lane])[0]
 
     def lane_raise_or_result(self, lane: int) -> ExecutionResult:
         outcome = self.lane_outcome(lane)
@@ -1615,7 +1638,10 @@ def _lanes_outputs_differ(a: "BatchResult", b: "BatchResult"):
             va_, vb_ = _np_vec(va, a.n), _np_vec(vb, b.n)
             diff |= (ma_ != mb_) | (ma_ & (va_ != vb_))
         return diff
-    return [a.outputs_for(lane) != b.outputs_for(lane) for lane in range(a.n)]
+    index = _index(range(a.n))
+    return [
+        x != y for x, y in zip(a._lanes_outputs(index), b._lanes_outputs(index))
+    ]
 
 
 def _lanes_memory_differ(a: "BatchResult", b: "BatchResult"):
@@ -1639,9 +1665,10 @@ def _lanes_memory_differ(a: "BatchResult", b: "BatchResult"):
         elif wb > wa:
             diff |= mem_b.img[:, w:].any(axis=1)
         return diff
+    index = _index(range(a.n))
     return [
-        mem_a.snapshot_lane(lane) != mem_b.snapshot_lane(lane)
-        for lane in range(a.n)
+        x != y
+        for x, y in zip(mem_a.snapshot_lanes(index), mem_b.snapshot_lanes(index))
     ]
 
 

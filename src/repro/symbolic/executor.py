@@ -4,8 +4,8 @@
 (:mod:`repro.semantics.interpreter`) statement for statement, but over
 :mod:`repro.symbolic.terms` instead of integers:
 
-* registers start at ``const 0`` and truncate on store exactly like
-  :class:`~repro.semantics.state.RegisterFile` (the truncation itself
+* registers start at ``const 0`` and truncate on store to their
+  declared width, exactly like the interpreter (the truncation itself
   is provisional — it vanishes when the interval analysis proves the
   value fits);
 * frame locals and the routine-name return slot are never truncated,

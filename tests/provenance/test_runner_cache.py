@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.provenance as provenance
+from repro import api
 from repro.analysis import RunConfig
 from repro.analysis.runner import run_batch
 
@@ -192,6 +193,33 @@ class TestStoreLifetime:
         # A sqlite connection left open sits in a reference cycle and
         # keeps its native memory until a full collection, which a
         # long-lived service reaches only rarely.
+        closed = self._record_closes(monkeypatch)
+        run_batch(
+            names=["scasb_rigel"],
+            config=RunConfig(trials=4, cache_dir=tmp_path, store_backend=backend),
+        )
+        assert closed == [backend]
+
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_trace_closes_its_store(self, tmp_path, monkeypatch, backend):
+        # repro trace and the served /trace go through api.trace.
+        closed = self._record_closes(monkeypatch)
+        result = api.trace("scasb_rigel", cache_dir=tmp_path, store_backend=backend)
+        assert result is not None
+        assert closed == [backend]
+
+    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    def test_replay_closes_its_store(self, tmp_path, monkeypatch, backend):
+        # repro replay and the served /replay go through api.replay.
+        closed = self._record_closes(monkeypatch)
+        result = api.replay(
+            ["scasb_rigel"], cache_dir=tmp_path, store_backend=backend
+        )
+        assert result.ok
+        assert closed == [backend]
+
+    @staticmethod
+    def _record_closes(monkeypatch):
         closed = []
         close = provenance.TraceStore.close
 
@@ -200,11 +228,7 @@ class TestStoreLifetime:
             close(store)
 
         monkeypatch.setattr(provenance.TraceStore, "close", recording_close)
-        run_batch(
-            names=["scasb_rigel"],
-            config=RunConfig(trials=4, cache_dir=tmp_path, store_backend=backend),
-        )
-        assert closed == [backend]
+        return closed
 
 
 class TestCacheBench:

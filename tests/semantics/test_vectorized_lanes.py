@@ -71,10 +71,10 @@ def scalar_reference(description, lanes, memory=None, max_steps=200_000):
     return outcomes
 
 
-def batch_outcomes(result):
+def batch_outcomes(result, lanes=None):
+    """Scalar-shaped outcomes of ``lanes`` (default: every lane)."""
     outcomes = []
-    for lane in range(result.n):
-        outcome = result.lane_outcome(lane)
+    for outcome in result.lane_outcomes(range(result.n) if lanes is None else lanes):
         if outcome[0] == "result":
             r = outcome[1]
             outcomes.append(("result", r.outputs, r.memory, r.steps))
@@ -132,6 +132,32 @@ class TestExitMasks:
         ]
 
 
+class TestLaneOutcomes:
+    def test_any_lanes_in_the_order_asked(self):
+        """One gather serves any lanes, repeated or out of order, and
+        raising lanes among them."""
+        engine = VectorizedDescription(SCANNER, max_steps=30)
+        memory = {30: 7}
+        lanes = [
+            {"p": 10, "c": 7, "n": 0},
+            {"p": 28, "c": 7, "n": 9},
+            {"p": 25, "c": 7, "n": 9},
+            {"p": 10, "c": 7, "n": 3},
+            {"p": 40, "c": 7, "n": 400},
+        ]
+        result = engine.run_batch(
+            {name: [lane[name] for lane in lanes] for name in "pcn"},
+            memory,
+            n=len(lanes),
+        )
+        order = [4, 1, 3, 1, 0]
+        got = batch_outcomes(result, order)
+        assert got[0][:2] == ("raise", "StepLimitExceeded")
+        assert got == scalar_reference(
+            SCANNER, [lanes[i] for i in order], memory, max_steps=30
+        )
+
+
 class TestStepLimit:
     def test_budget_expires_in_a_strict_subset_of_lanes(self):
         """Some lanes finish, some hit the limit — never all-or-nothing."""
@@ -161,7 +187,7 @@ class TestStepLimit:
         result = engine.run_batch({"n": [1000, 2], "acc": [0, 50]}, {}, n=2)
         assert result.errors[0] is not None
         assert result.errors[1] is None
-        assert result.lane_result(1).outputs == (56,)
+        assert result.lane_raise_or_result(1).outputs == (56,)
 
 
 class TestDegenerateBatch:
@@ -174,7 +200,7 @@ class TestDegenerateBatch:
         )
         assert result.n == 1
         scalar = Interpreter(SCANNER).run(dict(inputs), dict(memory))
-        lane = result.lane_result(0)
+        lane = result.lane_raise_or_result(0)
         assert lane.outputs == scalar.outputs
         assert lane.memory == scalar.memory
         assert lane.registers == scalar.registers
