@@ -366,7 +366,6 @@ def cmd_serve(args, _result) -> int:
         queue_limit=args.queue_limit,
         request_timeout=args.timeout or None,
         cache_dir=args.cache_dir,
-        store_backend=args.store_backend,
         jobs=args.jobs,
         trials=args.trials,
     )
@@ -375,13 +374,8 @@ def cmd_serve(args, _result) -> int:
     async def _serve() -> None:
         await service.start()
         print(
-            "repro service on http://%s:%d (store: %s, backend: %s)"
-            % (
-                config.host,
-                service.port,
-                config.cache_dir or "<disabled>",
-                config.store_backend,
-            ),
+            "repro service on http://%s:%d (store: %s)"
+            % (config.host, service.port, config.cache_dir or "<disabled>"),
             flush=True,
         )
         try:
@@ -404,7 +398,6 @@ def cmd_loadtest(args, _result) -> int:
         clients=args.clients,
         requests_per_client=args.requests,
         trials=args.trials,
-        store_backend=args.store_backend,
         cache_dir=args.cache_dir,
         out=args.out,
     )

@@ -45,13 +45,6 @@ class RunConfig:
     #: replays its concrete counterexample as the failing trial, and an
     #: *unknown* verdict falls back to the full differential sweep.
     symbolic: bool = False
-    #: provenance-store storage backend under ``cache_dir``: ``"dir"``
-    #: (the one-file-per-artifact tree, the default), ``"sqlite"`` (one
-    #: WAL database, safe for many concurrent processes — what the
-    #: analysis service runs on), or None for the layout already under
-    #: ``cache_dir``.  Verdict keys do not mention the backend, so
-    #: reports are byte-identical across backends.
-    store_backend: Optional[str] = "dir"
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed", "jobs"):

@@ -902,9 +902,7 @@ def run_batch(
             # reference cycle, so one left open keeps its native memory
             # until a full garbage collection.
             store = stack.enter_context(
-                contextlib.closing(
-                    TraceStore(cfg.cache_dir, backend=cfg.store_backend)
-                )
+                contextlib.closing(TraceStore(cfg.cache_dir))
             )
             epoch = code_epoch()
             for entry in entries:

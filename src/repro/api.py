@@ -151,7 +151,6 @@ def verify(
     seed: int = 1982,
     symbolic: bool = False,
     cache_dir=None,
-    store_backend: Optional[str] = None,
 ) -> VerifyResult:
     """Differentially verify one analysis on randomized states.
 
@@ -161,12 +160,12 @@ def verify(
     runs the prove-then-sample fast path: a proved binding drops each
     shard to a short confirmation window (``verified_trials`` then
     reports the trials that actually ran).  A store at ``cache_dir``
-    (layout ``store_backend``, None: the one found) answers a repeat.
+    answers a repeat.
     """
     _module_for(name)
     config = RunConfig(
         engine=engine, trials=trials, seed=seed, verify=True,
-        symbolic=symbolic, cache_dir=cache_dir, store_backend=store_backend,
+        symbolic=symbolic, cache_dir=cache_dir,
     )
     report = run_batch(names=[name], config=config)
     (result,) = report.results
@@ -349,24 +348,17 @@ class TraceResult:
         return self.trace.to_dict()
 
 
-def trace(
-    name: str,
-    *,
-    cache_dir=None,
-    store_backend: Optional[str] = None,
-) -> Optional[TraceResult]:
+def trace(name: str, *, cache_dir=None) -> Optional[TraceResult]:
     """The recorded derivation for ``name``, or None if there is none.
 
     Prefers the provenance store (``cache_dir``; pass None to skip the
     store and always re-derive) and falls back to recording a fresh
-    derivation, mirroring ``repro trace``.  ``store_backend`` picks the
-    storage layout under ``cache_dir`` (``"dir"``/``"sqlite"``); None
-    auto-detects from what is on disk.
+    derivation, mirroring ``repro trace``.
     """
     from .provenance import TraceStore, trace_for
 
     _module_for(name)
-    store = None if cache_dir is None else TraceStore(cache_dir, backend=store_backend)
+    store = None if cache_dir is None else TraceStore(cache_dir)
     # Closed like run_batch's: an open sqlite connection sits in a
     # reference cycle and keeps its native memory until a full collection.
     with contextlib.closing(store) if store is not None else contextlib.nullcontext():
@@ -411,7 +403,6 @@ def replay(
     names: Optional[Sequence[str]] = None,
     *,
     cache_dir=None,
-    store_backend: Optional[str] = None,
 ) -> ReplayResult:
     """Re-apply recorded derivations step by step with digest checks.
 
@@ -419,14 +410,12 @@ def replay(
     ``cache_dir``) are checked against the *current* code and input
     descriptions, so any drift since recording surfaces as a failed
     entry — this is the drift gate behind ``repro replay``.
-    ``store_backend`` picks the storage layout under ``cache_dir``
-    (``"dir"``/``"sqlite"``); None auto-detects from what is on disk.
     """
     from .provenance import TraceStore, replay_analysis, trace_for
     from .transform import ReplayDivergenceError, TransformError
 
     entries = resolve_names(names)
-    store = None if cache_dir is None else TraceStore(cache_dir, backend=store_backend)
+    store = None if cache_dir is None else TraceStore(cache_dir)
     verdicts: List[ReplayEntry] = []
     with contextlib.closing(store) if store is not None else contextlib.nullcontext():
         for entry in entries:

@@ -95,8 +95,6 @@ class Param:
             raise ValueError(f"field {self.name!r} must be {expected}, got {value!r}")
 
 
-_LAYOUT = "provenance store layout (default: %(default)s; None: the one there)"
-
 #: every parameter, declared once.  Keys are unique; a parameter whose
 #: meaning differs between operations (the output formats, the two
 #: timeouts, the names positionals) has one entry per meaning.
@@ -134,7 +132,6 @@ PARAMS: Dict[str, Param] = {
         "or .repro-cache; loadtest: a temporary directory)",
     ),
     "no_cache": Param("no_cache", bool, False, "use no provenance store"),
-    "store_backend": Param("store_backend", choices=("dir", "sqlite"), help=_LAYOUT),
     "metrics_out": Param(
         "metrics_out", metavar="FILE", help="write the run's metrics snapshot here"
     ),
@@ -225,19 +222,19 @@ OPERATIONS: Dict[str, Operation] = {op.name: op for op in (
     _op(
         "batch", "run the full analysis catalog in parallel",
         "names jobs trials seed timeout verify json engine cache_dir no_cache "
-        "store_backend=dir metrics_out",
+        "metrics_out",
         call="batch",
         http=_route("POST", "names trials seed engine symbolic verify jobs"),
     ),
     _op(
         "trace", "print one analysis's recorded derivation",
-        "name format cache_dir no_cache store_backend",
+        "name format cache_dir no_cache",
         call="trace",
         http=_route("GET/POST", "name", wire="name origin digest steps"),
     ),
     _op(
         "replay", "re-apply recorded derivations with digest checks",
-        "names all cache_dir no_cache store_backend",
+        "names all cache_dir no_cache",
         call="replay",
         http=_route("GET/POST", "names", wire="ok failed entries"),
     ),
@@ -257,18 +254,15 @@ OPERATIONS: Dict[str, Operation] = {op.name: op for op in (
     ),
     _op(
         "stats", "run an instrumented batch and print its metrics",
-        "names stats_format from_file trials=20 seed engine cache_dir no_cache "
-        "store_backend",
+        "names stats_format from_file trials=20 seed engine cache_dir no_cache",
     ),
     _op(
         "serve", "run the analysis service (asyncio HTTP/JSON)",
-        "host port cache_dir no_cache store_backend=sqlite queue_limit "
-        "request_timeout jobs trials",
+        "host port cache_dir no_cache queue_limit request_timeout jobs trials",
     ),
     _op(
         "loadtest", "load-test the analysis service",
-        "url clients requests trials=12 store_backend=sqlite cache_dir service_out "
-        "json",
+        "url clients requests trials=12 cache_dir service_out json",
     ),
     _op("list", "list available analyses"),
     _op(

@@ -7,11 +7,12 @@ makes those derivations first-class artifacts:
 * :mod:`repro.provenance.schema` — the versioned analysis-trace schema
   (both sessions' :class:`~repro.transform.TraceEvent` streams plus
   the Table 2 identity), canonical JSON, and content digests;
-* :mod:`repro.provenance.store` — a content-addressed on-disk store
-  that memoizes analysis verdicts keyed on what actually determines
-  them (source descriptions, code epoch, engine identity, trial plan),
-  letting ``repro batch`` skip transformation replay *and*
-  verification for work it has already proven.
+* :mod:`repro.provenance.store` — a content-addressed store, one
+  sqlite database per root, that memoizes analysis verdicts keyed on
+  what actually determines them (source descriptions, code epoch,
+  engine identity, trial plan), letting ``repro batch`` skip
+  transformation replay *and* verification for work it has already
+  proven.
 
 ``repro trace`` prints stored or freshly recorded derivations;
 ``repro replay`` re-applies them with per-step digest checking, which
@@ -25,23 +26,14 @@ from .schema import (
     canonical_json,
     strip_durations,
 )
-from .backend import (
-    BACKENDS,
-    DirBackend,
-    SqliteBackend,
-    StoreBackend,
-    StoreBackendError,
-    detect_backend,
-    make_backend,
-)
 from .replay import replay_analysis, stored_trace, trace_for
 from .store import (
     DEFAULT_STORE_DIR,
     STORE_ENV_VAR,
+    STORE_FILENAME,
     STORE_SCHEMA,
     TraceStore,
     code_epoch,
-    migrate_store,
     verdict_key,
 )
 
@@ -54,18 +46,11 @@ __all__ = [
     "analysis_trace_digest",
     "canonical_json",
     "strip_durations",
-    "BACKENDS",
     "DEFAULT_STORE_DIR",
-    "DirBackend",
     "STORE_ENV_VAR",
+    "STORE_FILENAME",
     "STORE_SCHEMA",
-    "SqliteBackend",
-    "StoreBackend",
-    "StoreBackendError",
     "TraceStore",
     "code_epoch",
-    "detect_backend",
-    "make_backend",
-    "migrate_store",
     "verdict_key",
 ]

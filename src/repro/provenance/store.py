@@ -1,13 +1,11 @@
 """Content-addressed provenance store.
 
-Logical layout (the ``dir`` backend's on-disk shape; the ``sqlite``
-backend stores the same records in one WAL database — see
-:mod:`repro.provenance.backend`)::
+One WAL-mode sqlite database, ``<root>/store.sqlite``, holds two
+tables::
 
-    <root>/
-      objects/<aa>/<digest[2:]>.json   content-addressed artifacts
-      index/keys/<key-digest>.json     verdict key -> object digest
-      index/by-name/<analysis>.json    latest object digest per analysis
+    objects  (digest, body)        content-addressed artifacts
+    pointers (kind, name, object)  ("key", key digest)  -> verdict digest
+                                   ("name", analysis)   -> latest verdict
 
 *Objects* are immutable JSON documents of two kinds.  A verdict
 artifact holds the key that produced it, the JSON-ready result fields
@@ -16,8 +14,8 @@ trace is an object of its own, which the artifact names by its object
 digest in ``trace``.  A store hit therefore reads only the small
 verdict, and every key of one derivation shares one trace object.
 An object's name is the SHA-256 of its canonical JSON, so equal
-artifacts coincide, and every read re-hashes the text: a corrupted
-object reads as absent.
+artifacts coincide, and every read re-hashes the stored bytes: a
+corrupted object, or one whose bytes no longer decode, reads as absent.
 
 *Verdict keys* name everything that determines a verdict **without
 running the analysis**: the schema version, the analysis name, the
@@ -28,10 +26,9 @@ verification plan (engine identity, trials, seed, verify flag).
 ``repro batch`` looks a key up before planning any work: a hit skips
 both transformation replay and verification for that entry.
 
-The storage backend is **not** part of the verdict key: a verdict is
-the same verdict wherever it is stored, which is why a dir store and
-a sqlite store answer identical lookups with identical artifacts (and
-why a batch report is byte-identical across backends).
+Any number of processes and threads share one store: connections are
+per thread and never cross a ``fork``, WAL keeps readers unblocked
+while a writer commits, and ``busy_timeout`` makes writers queue.
 """
 
 from __future__ import annotations
@@ -39,18 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sqlite3
+import threading
+import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .. import obs
-from .backend import (
-    BACKENDS,
-    StoreBackend,
-    detect_backend,
-    make_backend,
-    migrate_backend,
-)
 from .schema import canonical_json
 
 #: Version tag for stored verdict artifacts; bump to orphan old caches.
@@ -61,6 +54,20 @@ STORE_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: Default store root used by the CLI when the environment is silent.
 DEFAULT_STORE_DIR = ".repro-cache"
+
+#: The store's database file, inside the store root.
+STORE_FILENAME = "store.sqlite"
+
+_TABLES = (
+    "CREATE TABLE IF NOT EXISTS objects ("
+    " digest TEXT PRIMARY KEY,"
+    " body TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS pointers ("
+    " kind TEXT NOT NULL,"
+    " name TEXT NOT NULL,"
+    " object TEXT NOT NULL,"
+    " PRIMARY KEY (kind, name))",
+)
 
 
 @lru_cache(maxsize=1)
@@ -120,70 +127,99 @@ def _digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class TraceStore:
-    """Content-addressed store of verdict artifacts under one root.
+def _key_digest(key: Dict[str, object]) -> str:
+    return _digest_text(canonical_json(key))
 
-    ``backend`` selects the storage substrate (see
-    :data:`~repro.provenance.backend.BACKENDS`): ``"dir"`` is the
-    historical directory tree, ``"sqlite"`` one WAL database shared
-    safely by many processes.  ``None`` auto-detects — a root holding
-    a ``store.sqlite`` file opens as sqlite, anything else (including
-    a fresh root) as dir — so existing stores keep working unflagged.
+
+def _load(digest: bytes, body: bytes) -> Optional[Dict[str, object]]:
+    """The object ``body`` holds, or None unless it hashes to ``digest``.
+
+    Both arrive as raw bytes: a bit flip can leave bytes that are not
+    UTF-8 at all, and those must read as absent, not raise.
     """
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        return None
+    try:
+        return json.loads(body)
+    except ValueError:
+        return None
 
-    def __init__(self, root: os.PathLike, backend: Optional[str] = None):
+
+class TraceStore:
+    """Content-addressed store of verdict artifacts under one root."""
+
+    def __init__(self, root: os.PathLike):
         self.root = Path(root)
-        resolved = backend if backend is not None else detect_backend(root)
-        self._backend: StoreBackend = make_backend(resolved, self.root)
+        self.path = self.root / STORE_FILENAME
+        self._local = threading.local()
+        # A bad root fails here, not on the first lookup.
+        self._connect()
 
-    @property
-    def backend_name(self) -> str:
-        """The active backend's registered name."""
-        return self._backend.name
+    def _connect(self) -> sqlite3.Connection:
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and self._local.pid == os.getpid():
+            return connection
+        self.root.mkdir(parents=True, exist_ok=True)
+        connection = sqlite3.connect(
+            str(self.path), timeout=30.0, isolation_level=None
+        )
+        # Switching a fresh file to WAL needs an exclusive lock, and
+        # sqlite can report it locked at once instead of waiting out the
+        # busy timeout while other processes open the same new store.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute("PRAGMA busy_timeout=30000")
+        for statement in _TABLES:
+            connection.execute(statement)
+        self._local.connection = connection
+        self._local.pid = os.getpid()
+        return connection
 
     def close(self) -> None:
-        """Release backend resources (sqlite connections; dir: no-op)."""
-        self._backend.close()
+        """Close this thread's connection (a forked child's is not its own)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and self._local.pid == os.getpid():
+            connection.close()
+        self._local.connection = None
 
     # -- raw objects ----------------------------------------------------
 
-    def _object_path(self, digest: str) -> Path:
-        """Dir-backend object location (test/debug support)."""
-        return self.root / "objects" / digest[:2] / f"{digest[2:]}.json"
-
     def put_object(self, payload: Dict[str, object]) -> str:
-        """Store a JSON payload; returns its content digest."""
+        """Store a JSON payload; returns its content digest.
+
+        Writing a digest again rewrites a body altered since, so a
+        corrupted object heals on the next write of its digest.
+        """
         text = canonical_json(payload)
         digest = _digest_text(text)
-        self._backend.put_object(digest, text)
+        self._connect().execute(
+            "INSERT INTO objects (digest, body) VALUES (?, ?) "
+            "ON CONFLICT (digest) DO UPDATE SET body = excluded.body "
+            "WHERE body != excluded.body",
+            (digest, text),
+        )
         return digest
 
     def get_object(self, digest: str) -> Optional[Dict[str, object]]:
         """Load an object, or None when absent or corrupted.
 
-        The text is re-hashed against its name, so an object altered in
-        place reads as absent even when it is still valid JSON.
+        The bytes are re-hashed against the name, so an object altered
+        in place reads as absent even when it is still valid JSON.
         """
-        text = self._backend.get_object_text(digest)
-        if text is None or _digest_text(text) != digest:
-            return None
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return None
+        row = self._connect().execute(
+            "SELECT CAST(body AS BLOB) FROM objects WHERE digest = ?", (digest,)
+        ).fetchone()
+        return None if row is None else _load(digest.encode("utf-8"), row[0])
 
     # -- the verdict index ----------------------------------------------
-
-    def _key_digest(self, key: Dict[str, object]) -> str:
-        return _digest_text(canonical_json(key))
-
-    def _key_path(self, key: Dict[str, object]) -> Path:
-        """Dir-backend key-pointer location (test/debug support)."""
-        return self.root / "index" / "keys" / f"{self._key_digest(key)}.json"
-
-    def _name_path(self, name: str) -> Path:
-        """Dir-backend by-name-pointer location (test/debug support)."""
-        return self.root / "index" / "by-name" / f"{name}.json"
 
     def record_verdict(
         self, key: Dict[str, object], payload: Dict[str, object]
@@ -191,30 +227,40 @@ class TraceStore:
         """Store an artifact and index it by key and analysis name.
 
         The object lands before any pointer names it (no reader can
-        follow a pointer to a missing artifact), and both pointers go
-        to the backend as one group — atomically together on sqlite,
-        individually atomic last-writer-wins on dir.
+        follow a pointer to a missing artifact), and both pointers
+        commit in one transaction, so a concurrent reader sees the old
+        verdict or the new one, never a mix.
         """
         obs.inc("repro_provenance_store_writes_total")
         digest = self.put_object(payload)
-        pointers = [("key", self._key_digest(key), digest)]
+        pointers = [("key", _key_digest(key), digest)]
         name = key.get("name")
         if isinstance(name, str) and name:
             pointers.append(("name", name, digest))
-        self._backend.set_pointers(pointers)
+        connection = self._connect()
+        with connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.executemany(
+                "INSERT OR REPLACE INTO pointers (kind, name, object) "
+                "VALUES (?, ?, ?)",
+                pointers,
+            )
         return digest
 
     def _resolve(self, kind: str, name: str) -> Optional[Dict[str, object]]:
-        digest = self._backend.get_pointer(kind, name)
-        if digest is None:
-            return None
-        return self.get_object(digest)
+        row = self._connect().execute(
+            "SELECT CAST(pointers.object AS BLOB), CAST(objects.body AS BLOB) "
+            "FROM pointers JOIN objects ON objects.digest = pointers.object "
+            "WHERE pointers.kind = ? AND pointers.name = ?",
+            (kind, name),
+        ).fetchone()
+        return None if row is None else _load(*row)
 
     def lookup_verdict(
         self, key: Dict[str, object]
     ) -> Optional[Dict[str, object]]:
         """The memoized artifact for a key, or None (a cache miss)."""
-        payload = self._resolve("key", self._key_digest(key))
+        payload = self._resolve("key", _key_digest(key))
         if payload is None:
             obs.inc("repro_provenance_store_misses_total")
             return None
@@ -230,32 +276,20 @@ class TraceStore:
         """The most recently recorded artifact for an analysis name."""
         return self._resolve("name", name)
 
-    def names(self):
+    def names(self) -> List[str]:
         """All analysis names with a by-name pointer, sorted."""
-        return self._backend.pointer_names("name")
-
-
-def migrate_store(
-    source: TraceStore, target: TraceStore
-) -> int:
-    """Copy ``source``'s full contents into ``target``.
-
-    The canonical dir→sqlite migration path: every content-addressed
-    object and every index pointer carries over, so the target answers
-    exactly the lookups the source did — warm verdicts stay warm and
-    ``repro replay`` digests are unchanged.  Returns the number of
-    objects copied.
-    """
-    return migrate_backend(source._backend, target._backend)
+        rows = self._connect().execute(
+            "SELECT name FROM pointers WHERE kind = 'name' ORDER BY name"
+        ).fetchall()
+        return [row[0] for row in rows]
 
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_STORE_DIR",
     "STORE_ENV_VAR",
+    "STORE_FILENAME",
     "STORE_SCHEMA",
     "TraceStore",
     "code_epoch",
-    "migrate_store",
     "verdict_key",
 ]

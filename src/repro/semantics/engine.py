@@ -19,7 +19,7 @@ it ``off`` to measure raw engine speed.  A lane's gate index is its
 position in its window — a batch of :class:`ScenarioBatch` windows
 (the batch runner's 64-trial shards) numbers each window's lanes from
 0 — and the sampled gate checks index 0 plus roughly one index in
-``gate_period``, so every window checks its own first lane.  Any
+:data:`GATE_PERIOD`, so every window checks its own first lane.  Any
 disagreement — outputs, final memory, registers, step count, or
 exception behaviour — raises :class:`EngineMismatchError` *before* any
 verification verdict can be reported.
@@ -54,6 +54,11 @@ DEFAULT_ENGINE = "vectorized"
 #: Gate modes, from most to least paranoid.
 GATE_MODES: Tuple[str, ...] = ("always", "sampled", "off")
 
+#: The sampled gate checks a lane when the draw seeded here from its
+#: description name and gate index lands on 0 modulo the period.
+GATE_SEED = 1982
+GATE_PERIOD = 16
+
 
 class UnknownEngineError(ValueError):
     """An ``--engine`` value that names no engine."""
@@ -87,9 +92,7 @@ def _observe(executor, inputs, memory):
 
 
 @lru_cache(maxsize=1 << 14)
-def _sampled_positions(
-    gate_seed: int, name: str, period: int, first: int, count: int
-) -> Tuple[int, ...]:
+def _sampled_positions(name: str, first: int, count: int) -> Tuple[int, ...]:
     """Positions ``p < count`` whose gate index ``first + p`` is sampled.
 
     Index 0 is always sampled; any other index when its seeded draw
@@ -100,7 +103,7 @@ def _sampled_positions(
         position
         for position in range(count)
         if first + position == 0
-        or derive_seed(gate_seed, "gate", name, first + position) % period
+        or derive_seed(GATE_SEED, "gate", name, first + position) % GATE_PERIOD
         == 0
     )
 
@@ -128,15 +131,11 @@ class _GatedExecutor:
         description: ast.Description,
         max_steps: int,
         gate: str,
-        gate_seed: int,
-        gate_period: int,
     ):
         self._primary = VectorizedDescription(description, max_steps=max_steps)
         self._reference = Interpreter(description, max_steps=max_steps)
         self._name = description.name
         self._gate = gate
-        self._gate_seed = gate_seed
-        self._gate_period = max(1, gate_period)
         self._trial = 0
 
     @property
@@ -147,9 +146,7 @@ class _GatedExecutor:
         """Positions of a window of ``count`` trials from ``first`` to check."""
         if self._gate == "always":
             return range(count)
-        return _sampled_positions(
-            self._gate_seed, self._name, self._gate_period, first, count
-        )
+        return _sampled_positions(self._name, first, count)
 
     def _compare(self, got, inputs, memory, index: int) -> None:
         """Cross-check one observation against the interpreter."""
@@ -276,8 +273,6 @@ class ExecutionEngine:
     #: are cross-checked against the interpreter.  Irrelevant for
     #: ``interp``.
     gate: str = "always"
-    gate_seed: int = 1982
-    gate_period: int = 16
 
     def __post_init__(self) -> None:
         if self.name not in ENGINE_NAMES:
@@ -299,12 +294,7 @@ class ExecutionEngine:
             engine = DEFAULT_ENGINE
         if isinstance(engine, cls):
             if gate is not None and gate != engine.gate:
-                return cls(
-                    name=engine.name,
-                    gate=gate,
-                    gate_seed=engine.gate_seed,
-                    gate_period=engine.gate_period,
-                )
+                return cls(name=engine.name, gate=gate)
             return engine
         if not isinstance(engine, str):
             raise UnknownEngineError(engine)
@@ -324,13 +314,7 @@ class ExecutionEngine:
         elif self.gate == "off":
             inner = VectorizedDescription(description, max_steps=max_steps)
         else:
-            inner = _GatedExecutor(
-                description,
-                max_steps=max_steps,
-                gate=self.gate,
-                gate_seed=self.gate_seed,
-                gate_period=self.gate_period,
-            )
+            inner = _GatedExecutor(description, max_steps=max_steps, gate=self.gate)
         if obs.enabled():
             return _InstrumentedExecutor(inner, self.name)
         return inner

@@ -4,7 +4,7 @@
 requests, which is what makes the PR 4-7 machinery pay off: the
 persistent worker pool (:mod:`repro.analysis.pool`) amortizes process
 spin-up, the in-process parse/compile/replay caches stay warm, and the
-provenance store — on the sqlite/WAL backend built for concurrent
+provenance store — one sqlite/WAL database built for concurrent
 writers — serves repeat verdicts without re-running anything.
 
 The package is stdlib-only:

@@ -55,7 +55,6 @@ class LoadtestReport:
     pool_reuse_total: int
     pool_spawn_delta_measured: int
     rejected_total: int
-    store_backend: str
     trials: int
     errors: int = 0
     extra: Dict[str, object] = field(default_factory=dict)
@@ -78,7 +77,6 @@ class LoadtestReport:
                 "spawn_delta_measured": self.pool_spawn_delta_measured,
             },
             "rejected_total": self.rejected_total,
-            "store_backend": self.store_backend,
             "trials": self.trials,
             "errors": self.errors,
         }
@@ -271,7 +269,6 @@ async def _drive(
         pool_reuse_total=reuse_after,
         pool_spawn_delta_measured=spawn_after - spawn_before,
         rejected_total=rejected,
-        store_backend="",  # filled by run_loadtest
         trials=trials,
         errors=errors,
     )
@@ -283,7 +280,6 @@ def run_loadtest(
     clients: int = 8,
     requests_per_client: int = 25,
     trials: int = 12,
-    store_backend: str = "sqlite",
     cache_dir: Optional[str] = None,
     warm_jobs: int = 2,
     request_timeout: Optional[float] = 120.0,
@@ -294,10 +290,9 @@ def run_loadtest(
 
     ``url=None`` is the hermetic mode: an :class:`AnalysisService` is
     started in-process on an ephemeral port, backed by ``cache_dir``
-    (a temporary directory by default) on ``store_backend``.  With a
-    ``url`` the harness only drives traffic — the server's own
-    configuration applies, and ``store_backend``/``cache_dir``/
-    ``queue_limit`` here are ignored.
+    (a temporary directory by default).  With a ``url`` the harness
+    only drives traffic — the server's own configuration applies, and
+    ``cache_dir``/``queue_limit`` here are ignored.
     """
 
     async def _run() -> LoadtestReport:
@@ -305,7 +300,7 @@ def run_loadtest(
             parsed = urllib.parse.urlsplit(url)
             host = parsed.hostname or "127.0.0.1"
             port = parsed.port or 80
-            report = await _drive(
+            return await _drive(
                 host,
                 port,
                 clients=clients,
@@ -313,13 +308,11 @@ def run_loadtest(
                 trials=trials,
                 warm_jobs=warm_jobs,
             )
-            return _stamped(report, "remote")
 
         limit = queue_limit if queue_limit is not None else max(8, clients)
         with tempfile.TemporaryDirectory() as scratch:
             config = ServiceConfig(
                 cache_dir=cache_dir if cache_dir is not None else scratch,
-                store_backend=store_backend,
                 queue_limit=limit,
                 request_timeout=request_timeout,
             )
@@ -327,7 +320,7 @@ def run_loadtest(
             await service.start()
             try:
                 assert service.port is not None
-                report = await _drive(
+                return await _drive(
                     config.host,
                     service.port,
                     clients=clients,
@@ -337,12 +330,6 @@ def run_loadtest(
                 )
             finally:
                 await service.stop()
-        return _stamped(report, store_backend)
-
-    def _stamped(report: LoadtestReport, backend: str) -> LoadtestReport:
-        import dataclasses as _dc
-
-        return _dc.replace(report, store_backend=backend)
 
     report = asyncio.run(_run())
     if out:

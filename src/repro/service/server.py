@@ -43,7 +43,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .. import obs
 from ..operations import ROUTES, http_inputs, invoke, wire
-from ..provenance import BACKENDS
 
 #: Largest accepted request body, in bytes.
 MAX_BODY_BYTES = 1 << 20
@@ -78,8 +77,7 @@ class ServiceConfig:
     disables the provenance store; a service that should ever report a
     warm hit rate needs one.  ``jobs`` is the *default* batch
     parallelism — request bodies may override it per run, but the
-    store location and backend are pinned here and never
-    client-controlled.
+    store location is pinned here and never client-controlled.
     """
 
     host: str = "127.0.0.1"
@@ -90,17 +88,11 @@ class ServiceConfig:
     #: seconds an admitted analysis request may run before 504.
     request_timeout: Optional[float] = 60.0
     cache_dir: Optional[str] = None
-    store_backend: str = "sqlite"
     jobs: int = 1
     trials: int = 120
     seed: int = 1982
 
     def __post_init__(self) -> None:
-        if self.store_backend not in BACKENDS:
-            raise ValueError(
-                "unknown store backend %r (expected one of %s)"
-                % (self.store_backend, ", ".join(BACKENDS))
-            )
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
 
@@ -341,10 +333,7 @@ class AnalysisService:
             raise _HttpError(400, str(error)) from None
         # The operator's store always; its trials/seed/jobs defaults
         # where the route takes those fields.
-        values = {
-            "cache_dir": self.config.cache_dir,
-            "store_backend": self.config.store_backend,
-        }
+        values = {"cache_dir": self.config.cache_dir}
         for param in op.http.fields:
             if param.name in ("trials", "seed", "jobs"):
                 values[param.name] = getattr(self.config, param.name)
@@ -367,7 +356,6 @@ class AnalysisService:
         return {
             "ok": True,
             "service": "repro",
-            "store_backend": self.config.store_backend,
             "cache_dir": self.config.cache_dir,
             "queue_limit": self.config.queue_limit,
             "inflight": self._inflight,

@@ -30,10 +30,8 @@ from repro.analysis.verify import (
 )
 from repro.semantics import ENGINE_NAMES, ScenarioStream, derive_seed
 from repro.semantics import engine as engine_module
-from repro.semantics.engine import ExecutionEngine
+from repro.semantics.engine import GATE_PERIOD, GATE_SEED
 from tests.integration.test_vectorized_fuzz import planted_binding, planted_spec
-
-GATE = ExecutionEngine()
 
 #: windows of the planted defect's stream: mixed sizes, some back to
 #: back and some not, so both the single draw and the stacked draw run.
@@ -52,8 +50,7 @@ def _sampled(name, count):
         index
         for index in range(count)
         if index == 0
-        or derive_seed(GATE.gate_seed, "gate", name, index) % GATE.gate_period
-        == 0
+        or derive_seed(GATE_SEED, "gate", name, index) % GATE_PERIOD == 0
     ]
 
 

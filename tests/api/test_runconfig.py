@@ -76,7 +76,7 @@ class TestRunConfigChecks:
             {"jobs": 4, "timeout": 30},
             {"timeout": 0.5},
             {"seed": -3},
-            {"store_backend": None},
+            {"cache_dir": "store", "symbolic": True},
         ],
     )
     def test_good_plans_construct(self, fields):

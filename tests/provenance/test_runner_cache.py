@@ -8,6 +8,9 @@ import repro.provenance as provenance
 from repro import api
 from repro.analysis import RunConfig
 from repro.analysis.runner import run_batch
+from repro.provenance import STORE_FILENAME
+
+from .test_store import LAYOUTS, leave_layout
 
 
 def modulo_cache(report):
@@ -188,35 +191,35 @@ class TestWhatGetsStored:
 
 
 class TestStoreLifetime:
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_run_batch_closes_its_store(self, tmp_path, monkeypatch, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_run_batch_closes_its_store(self, tmp_path, monkeypatch, layout):
         # A sqlite connection left open sits in a reference cycle and
         # keeps its native memory until a full collection, which a
         # long-lived service reaches only rarely.
+        leave_layout(tmp_path, layout)
         closed = self._record_closes(monkeypatch)
         run_batch(
-            names=["scasb_rigel"],
-            config=RunConfig(trials=4, cache_dir=tmp_path, store_backend=backend),
+            names=["scasb_rigel"], config=RunConfig(trials=4, cache_dir=tmp_path)
         )
-        assert closed == [backend]
+        assert closed == [tmp_path / STORE_FILENAME]
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_trace_closes_its_store(self, tmp_path, monkeypatch, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_trace_closes_its_store(self, tmp_path, monkeypatch, layout):
         # repro trace and the served /trace go through api.trace.
+        leave_layout(tmp_path, layout)
         closed = self._record_closes(monkeypatch)
-        result = api.trace("scasb_rigel", cache_dir=tmp_path, store_backend=backend)
+        result = api.trace("scasb_rigel", cache_dir=tmp_path)
         assert result is not None
-        assert closed == [backend]
+        assert closed == [tmp_path / STORE_FILENAME]
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
-    def test_replay_closes_its_store(self, tmp_path, monkeypatch, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_replay_closes_its_store(self, tmp_path, monkeypatch, layout):
         # repro replay and the served /replay go through api.replay.
+        leave_layout(tmp_path, layout)
         closed = self._record_closes(monkeypatch)
-        result = api.replay(
-            ["scasb_rigel"], cache_dir=tmp_path, store_backend=backend
-        )
+        result = api.replay(["scasb_rigel"], cache_dir=tmp_path)
         assert result.ok
-        assert closed == [backend]
+        assert closed == [tmp_path / STORE_FILENAME]
 
     @staticmethod
     def _record_closes(monkeypatch):
@@ -224,7 +227,7 @@ class TestStoreLifetime:
         close = provenance.TraceStore.close
 
         def recording_close(store):
-            closed.append(store.backend_name)
+            closed.append(store.path)
             close(store)
 
         monkeypatch.setattr(provenance.TraceStore, "close", recording_close)

@@ -1,8 +1,12 @@
 """Content-addressed store: addressing, indexing, corruption defence."""
 
+import hashlib
 import json
+import sqlite3
+from pathlib import Path
 
 from repro.provenance import (
+    STORE_FILENAME,
     STORE_SCHEMA,
     TraceStore,
     canonical_json,
@@ -25,6 +29,70 @@ def make_key(name="demo", **overrides):
     return verdict_key(name, **params)
 
 
+#: What an earlier version could have left under a store root: the dir
+#: tree its ``repro batch`` wrote, or the ``store.sqlite`` its
+#: ``repro serve`` created.
+LAYOUTS = ("dir", "sqlite")
+
+
+def raw(root, sql, params=()):
+    """Run one statement on ``root``'s database over a connection of its own."""
+    connection = sqlite3.connect(str(Path(root) / STORE_FILENAME))
+    try:
+        with connection:
+            return connection.execute(sql, params).fetchall()
+    finally:
+        connection.close()
+
+
+def digest_of(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def leave_dir_tree(root, objects, pointers):
+    """Write ``(digest, text)`` objects and ``(kind, name, digest)``
+    pointers in the one-file-per-record tree earlier versions kept."""
+    for digest, text in objects:
+        path = Path(root) / "objects" / digest[:2] / f"{digest[2:]}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    for kind, name, digest in pointers:
+        subdir = "keys" if kind == "key" else "by-name"
+        path = Path(root) / "index" / subdir / f"{name}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"object": digest}, sort_keys=True))
+
+
+def leave_layout(root, layout):
+    """Leave under ``root`` what an earlier version left there.
+
+    ``dir``: a tree holding a verdict under the name ``legacy``, which
+    the store must never read.  ``sqlite``: the empty database an
+    earlier ``repro serve`` created on start, which the store reuses.
+    """
+    if layout == "dir":
+        key = make_key(name="legacy")
+        text = canonical_json({"schema": STORE_SCHEMA, "key": key, "result": {}})
+        digest = digest_of(text)
+        pointers = [
+            ("key", digest_of(canonical_json(key)), digest),
+            ("name", "legacy", digest),
+        ]
+        leave_dir_tree(root, [(digest, text)], pointers)
+        return
+    Path(root).mkdir(parents=True, exist_ok=True)
+    connection = sqlite3.connect(str(Path(root) / STORE_FILENAME))
+    connection.execute("PRAGMA journal_mode=WAL")
+    connection.execute(
+        "CREATE TABLE objects (digest TEXT PRIMARY KEY, body TEXT NOT NULL)"
+    )
+    connection.execute(
+        "CREATE TABLE pointers (kind TEXT NOT NULL, name TEXT NOT NULL,"
+        " object TEXT NOT NULL, PRIMARY KEY (kind, name))"
+    )
+    connection.close()
+
+
 class TestObjects:
     def test_put_get_round_trip(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -36,8 +104,7 @@ class TestObjects:
         first = store.put_object({"a": 1, "b": 2})
         second = store.put_object({"b": 2, "a": 1})
         assert first == second
-        objects = list((tmp_path / "objects").rglob("*.json"))
-        assert len(objects) == 1
+        assert raw(tmp_path, "SELECT digest FROM objects") == [(first,)]
 
     def test_object_name_is_digest_of_canonical_json(self, tmp_path):
         import hashlib
@@ -56,8 +123,7 @@ class TestObjects:
     def test_corrupted_object_is_none(self, tmp_path):
         store = TraceStore(tmp_path)
         digest = store.put_object({"fine": True})
-        path = tmp_path / "objects" / digest[:2] / f"{digest[2:]}.json"
-        path.write_text("{not json", encoding="utf-8")
+        raw(tmp_path, "UPDATE objects SET body = '{x' WHERE digest = ?", (digest,))
         assert store.get_object(digest) is None
 
 
@@ -90,8 +156,11 @@ class TestVerdictIndex:
         wrong = store.put_object(
             {"schema": STORE_SCHEMA, "key": other, "result": {}}
         )
-        pointer = store._key_path(key)
-        pointer.write_text(json.dumps({"object": wrong}), encoding="utf-8")
+        raw(
+            tmp_path,
+            "UPDATE pointers SET object = ? WHERE kind = 'key' AND name = ?",
+            (wrong, digest_of(canonical_json(key))),
+        )
         assert store.lookup_verdict(key) is None
 
     def test_by_name_index(self, tmp_path):

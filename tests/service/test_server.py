@@ -30,11 +30,7 @@ def with_service(config, scenario):
 
 
 def make_config(tmp_path, **overrides):
-    params = dict(
-        cache_dir=str(tmp_path / "store"),
-        store_backend="sqlite",
-        request_timeout=60.0,
-    )
+    params = dict(cache_dir=str(tmp_path / "store"), request_timeout=60.0)
     params.update(overrides)
     return ServiceConfig(**params)
 
@@ -45,7 +41,7 @@ class TestEndpoints:
             status, body = await client.request_json("GET", "/healthz")
             assert status == 200
             assert body["ok"] is True
-            assert body["store_backend"] == "sqlite"
+            assert body["cache_dir"] == str(tmp_path / "store")
             assert body["queue_limit"] == 8
             return None
 
@@ -79,8 +75,8 @@ class TestEndpoints:
                 "POST", "/batch", payload
             )
             assert status == 200 and warm["cache"]["hits"] == 2
-            # the canonical report bytes are backend-independent, so the
-            # two runs agree on everything but the cache block
+            # a store hit reports what the verdict's own run reported,
+            # so the two runs agree on everything but the cache block
             assert cold["results"] == warm["results"]
 
         with_service(make_config(tmp_path), scenario)

@@ -81,8 +81,8 @@ def test_provenance_docs_cover_schemas_and_layout():
     text = (DOCS / "provenance.md").read_text()
     for tag in (ANALYSIS_TRACE_SCHEMA, STORE_SCHEMA, TRACE_SCHEMA, CACHE_SCHEMA):
         assert f"`{tag}`" in text, tag
-    for path in ("objects/", "index/keys/", "index/by-name/"):
-        assert path in text, path
+    for table in ("`objects`", "`pointers`"):
+        assert f"| {table} |" in text, table
 
 
 def test_provenance_docs_cover_every_key_component():
@@ -270,19 +270,20 @@ def test_service_docs_cover_contracts_and_bench_schema():
 
 
 def test_provenance_docs_cover_storage_backends():
-    from repro.provenance.backend import BACKENDS, SQLITE_FILENAME
+    # One store per root, shared by every front end; no second layout.
+    from repro.provenance import STORE_FILENAME
 
     text = (DOCS / "provenance.md").read_text()
-    assert "## Storage backends" in text
-    for backend in BACKENDS:
-        assert f"**`{backend}`**" in text, backend
+    assert "## Storage" in text
     for needle in (
-        f"`{SQLITE_FILENAME}`",
-        "--store-backend {dir,sqlite}",
-        "migrate_store",
-        "byte-identical across backends",
+        f"`<root>/{STORE_FILENAME}`",
+        "one transaction",
+        "`busy_timeout`",
+        "recomputed into `store.sqlite`",
     ):
         assert needle in text, needle
+    for gone in ("--store-backend", "store_backend", "migrate_store", "StoreBackend"):
+        assert gone not in text, gone
 
 
 def test_design_doc_covers_service_layer():
@@ -291,7 +292,7 @@ def test_design_doc_covers_service_layer():
     assert "## 11. Analysis as a service" in text
     for needle in (
         "PersistentPool",
-        "StoreBackend",
+        "`<root>/store.sqlite`",
         "repro_pool_spawn_total",
         "repro_pool_reuse_total",
         "`429`",

@@ -31,10 +31,6 @@ CLI_SURFACE = {
         ("--engine", "engine", None, None, None, None, None),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--no-cache", "no_cache", False, None, None, 0, None),
-        (
-            "--store-backend", "store_backend",
-            "dir", None, ("dir", "sqlite"), None, None,
-        ),
         ("--metrics-out", "metrics_out", None, None, None, None, "FILE"),
     ],
     "trace": [
@@ -42,14 +38,12 @@ CLI_SURFACE = {
         ("--format", "format", "text", None, ("text", "json"), None, None),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--no-cache", "no_cache", False, None, None, 0, None),
-        ("--store-backend", "store_backend", None, None, ("dir", "sqlite"), None, None),
     ],
     "replay": [
         (None, "names", None, None, None, "*", None),
         ("--all", "all", False, None, None, 0, None),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--no-cache", "no_cache", False, None, None, 0, None),
-        ("--store-backend", "store_backend", None, None, ("dir", "sqlite"), None, None),
     ],
     "verify": [
         (None, "names", None, None, None, "+", None),
@@ -78,17 +72,12 @@ CLI_SURFACE = {
         ("--engine", "engine", None, None, None, None, None),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--no-cache", "no_cache", False, None, None, 0, None),
-        ("--store-backend", "store_backend", None, None, ("dir", "sqlite"), None, None),
     ],
     "serve": [
         ("--host", "host", "127.0.0.1", None, None, None, None),
         ("--port", "port", 8137, "int", None, None, None),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--no-cache", "no_cache", False, None, None, 0, None),
-        (
-            "--store-backend", "store_backend",
-            "sqlite", None, ("dir", "sqlite"), None, None,
-        ),
         ("--queue-limit", "queue_limit", 8, "int", None, None, None),
         ("--timeout", "timeout", 60.0, "float", None, None, None),
         ("--jobs", "jobs", 1, "int", None, None, None),
@@ -99,10 +88,6 @@ CLI_SURFACE = {
         ("--clients", "clients", 8, "int", None, None, None),
         ("--requests", "requests", 25, "int", None, None, None),
         ("--trials", "trials", 12, "int", None, None, None),
-        (
-            "--store-backend", "store_backend",
-            "sqlite", None, ("dir", "sqlite"), None, None,
-        ),
         ("--cache-dir", "cache_dir", None, None, None, None, None),
         ("--out", "out", None, None, None, None, "FILE"),
         ("--json", "json", False, None, None, 0, None),
@@ -197,7 +182,7 @@ def test_cli_surface_is_pinned(monkeypatch):
     assert list(got) == list(CLI_SURFACE)
     for name, rows in CLI_SURFACE.items():
         assert got[name] == rows, name
-    assert sum(len(rows) for rows in got.values()) == 82
+    assert sum(len(rows) for rows in got.values()) == 76
 
 
 def test_http_surface_is_pinned():
