@@ -78,20 +78,3 @@ def test_jobs_do_not_change_results():
     serial = run_batch(config=RunConfig(jobs=1, trials=60, seed=7))
     parallel = run_batch(config=RunConfig(jobs=4, trials=60, seed=7))
     assert serial.to_json() == parallel.to_json()
-
-
-def test_forked_workers_inherit_warm_caches():
-    # run_batch preloads the parse and kernel caches in the parent
-    # before the pool forks, so workers never parse or lower anything
-    # themselves — their per-job cache-miss counters must stay at zero.
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("cache inheritance requires fork-based workers")
-    report = run_batch(
-        names=["scasb_rigel", "movsb_pascal", "locc_clu"],
-        config=RunConfig(jobs=3, trials=40, seed=11),
-    )
-    assert report.ok
-    misses = {job.name: job.cache_misses for job in report.results}
-    assert all(count == 0 for count in misses.values()), misses

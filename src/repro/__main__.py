@@ -31,6 +31,7 @@ arguments) to 2 for every command.
 from __future__ import annotations
 
 import contextlib
+import signal
 import sys
 
 
@@ -370,6 +371,12 @@ def cmd_serve(args, _result) -> int:
         trials=args.trials,
     )
     service = AnalysisService(config)
+    # Both signals raise KeyboardInterrupt, so either one ends in
+    # service.stop() and the atexit pool shutdown: a shell's background
+    # job starts with SIGINT ignored, and SIGTERM would otherwise kill
+    # the process outright.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
 
     async def _serve() -> None:
         await service.start()
@@ -511,10 +518,18 @@ def cmd_compile(args, _result) -> int:
     return 0
 
 
+def _exit_on_signal(signum, _frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     from . import obs
     from .operations import OPERATIONS, cli_inputs, cli_parser, invoke
 
+    # SIGTERM unwinds like sys.exit, so atexit handlers still run: the
+    # worker pool's shutdown among them, which would otherwise leave a
+    # pooled run's workers behind.
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     parsed = cli_parser().parse_args(argv)
     op = OPERATIONS[parsed.command]
     printer = globals()["cmd_" + op.name]

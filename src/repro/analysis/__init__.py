@@ -17,10 +17,10 @@ from .report import (
     table2_row,
 )
 from .runner import (
+    BatchJob,
     BatchReport,
     CatalogEntry,
     JobResult,
-    ShardSpec,
     UnknownAnalysisError,
     run_batch,
     shard_plan,
@@ -40,10 +40,10 @@ __all__ = [
     "format_table",
     "full_report",
     "table2_row",
+    "BatchJob",
     "BatchReport",
     "CatalogEntry",
     "JobResult",
-    "ShardSpec",
     "UnknownAnalysisError",
     "run_batch",
     "shard_plan",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 from .. import obs
 
@@ -50,26 +50,21 @@ class PersistentPool:
         with self._lock:
             return self._workers if self._executor is not None else 0
 
-    def acquire(
-        self, workers: int
-    ) -> "Tuple[concurrent.futures.ProcessPoolExecutor, bool]":
+    def acquire(self, workers: int) -> concurrent.futures.ProcessPoolExecutor:
         """An executor with at least ``workers`` worker slots.
 
-        Returns ``(executor, fresh)``: ``fresh`` is True when a new
-        pool was spawned (its workers have not forked yet, so the
-        caller still has time to pre-warm parent caches they will
-        inherit) and False when the live pool was reused (its extra
-        workers, if any, simply idle — the batch runner throttles
-        submission to the ``jobs`` it was asked for).  Every call
-        increments exactly one of the two pool counters, so
-        ``repro stats`` shows churn directly.
+        A live pool that is large enough is reused (its extra workers,
+        if any, simply idle — the batch runner throttles submission to
+        the ``jobs`` it was asked for); otherwise a new pool is
+        spawned.  Every call increments exactly one of the two pool
+        counters, so ``repro stats`` shows churn directly.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         with self._lock:
             if self._executor is not None and self._workers >= workers:
                 obs.inc("repro_pool_reuse_total")
-                return self._executor, False
+                return self._executor
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = concurrent.futures.ProcessPoolExecutor(
@@ -77,7 +72,7 @@ class PersistentPool:
             )
             self._workers = workers
             obs.inc("repro_pool_spawn_total")
-            return self._executor, True
+            return self._executor
 
     def invalidate(
         self,

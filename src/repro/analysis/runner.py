@@ -9,19 +9,20 @@ randomized verification trial is independent too.
 
 This module turns the one-shot replay into a service-shaped pipeline:
 
-* the catalog is decomposed into *jobs* — one replay job per analysis
-  plus, for verified analyses, one job per contiguous *shard* of its
-  randomized trials (:func:`shard_plan`);
-* jobs run on the *persistent* process pool shared with the analysis
-  service (:mod:`repro.analysis.pool`) with a configurable worker
-  count and per-job timeout, and every job returns a structured
-  success/failure record instead of aborting the batch on the first
-  exception; the pool outlives the batch, so back-to-back pooled runs
-  reuse live, cache-warm workers instead of re-forking;
-* a serial run hands an entry's shards, up to :data:`RUN_SHARDS` at a
-  time, to one :func:`execute_shards` call, which verifies them as one
-  wide batch per final description and still returns one record per
-  shard;
+* each analysis's randomized trials are cut into contiguous *shards*
+  (:func:`shard_plan`), and the catalog into *jobs* — one per entry,
+  holding up to :data:`RUN_SHARDS` of its shards (a replay-only entry
+  is one job with no trials);
+* :func:`execute_shards` runs one job: one replay, one lint gate and
+  one wide batch per final description over all of the job's shards,
+  split back into one success/failure record per shard instead of
+  aborting the batch on the first exception;
+* a serial run executes the jobs in-process, a pooled run submits the
+  same jobs to the *persistent* process pool shared with the analysis
+  service (:mod:`repro.analysis.pool`), with a configurable worker
+  count and per-job timeout; the pool outlives the batch, so
+  back-to-back pooled runs reuse live, cache-warm workers instead of
+  re-forking;
 * shard seeds derive deterministically from the single root seed (see
   :func:`repro.semantics.randomgen.derive_seed`), so scenario ``i`` is
   the same machine state whether it runs in shard 0 of 1 or shard 3 of
@@ -30,8 +31,8 @@ This module turns the one-shot replay into a service-shaped pipeline:
   produce byte-identical JSON reports (timing lives outside the JSON).
 
 Within a worker process, replayed analyses are memoized per module (a
-worker verifying three shards of ``scasb_rigel`` replays the script
-once) and the parsers behind them are content-keyed
+worker running two jobs of ``scasb_rigel`` replays the script once)
+and the parsers behind them are content-keyed
 (:mod:`repro.isdl.cache`), so repeated runs stop re-parsing identical
 ISDL sources.
 
@@ -50,15 +51,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import importlib
-import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..obs.metrics import diff_snapshots
 from ..semantics.engine import DEFAULT_ENGINE
 from .config import RunConfig
 from .report import canonical_report_json
@@ -68,10 +68,10 @@ from .report import canonical_report_json
 #: at every ``--jobs`` setting.
 SHARD_TRIALS = 64
 
-#: most shards of one entry a serial run verifies in one call.  Their
-#: windows share one batch per description, whose memory grows with its
-#: lanes (about 1.4 KB each) while the per-lane time stops falling at a
-#: few thousand lanes, so longer runs go 4,096 trials at a time.
+#: most shards of one entry in one job.  Their windows share one batch
+#: per description, whose memory grows with its lanes (about 1.4 KB
+#: each) while the per-lane time stops falling at a few thousand lanes,
+#: so longer entries take one job per 4,096 trials.
 RUN_SHARDS = 64
 
 #: JSON report schema identifier.
@@ -98,26 +98,25 @@ class CatalogEntry:
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """One unit of pool work: replay ``name``, verify ``count`` trials.
+class BatchJob:
+    """One unit of batch work: replay ``name``, verify its ``windows``.
 
-    ``count == 0`` means replay-only (failure demonstrations, or
-    ``verify=False`` runs).  ``offset`` positions the shard inside the
-    analysis's scenario stream.
+    ``windows`` holds at most :data:`RUN_SHARDS` contiguous
+    ``(offset, count)`` shards of the analysis's scenario stream.  A
+    replay-only job (failure demonstrations, or ``verify=False`` runs)
+    holds the single window ``(0, 0)``.
     """
 
     name: str
-    offset: int
-    count: int
+    windows: Tuple[Tuple[int, int], ...]
     seed: int
     engine: str = DEFAULT_ENGINE
-    #: run the symbolic prove-then-sample fast path in each shard.
+    #: run the symbolic prove-then-sample fast path.
     symbolic: bool = False
-    #: collect a metrics delta for this job even when the executing
-    #: process has no fork-inherited registry.  Set by the pool path at
-    #: submission time: a *persistent* pool's workers may predate the
-    #: parent's ``obs.collecting()`` window, so worker-side collection
-    #: must be requested explicitly rather than inherited by fork.
+    #: collect this job's metrics in a registry of its own and ship its
+    #: snapshot back on the first record.  Set by the pool path when the
+    #: parent collects: a worker's counts never reach the parent's
+    #: registry otherwise.
     collect: bool = False
 
 
@@ -135,13 +134,6 @@ class JobResult:
     shards: int = 0
     error: Optional[str] = None
     timed_out: bool = False
-    #: wall-clock seconds, summed over this entry's jobs.  Excluded
-    #: from the JSON report so identical runs stay byte-identical.
-    duration: float = 0.0
-    #: parse + compile cache misses observed inside this entry's jobs.
-    #: Excluded from the JSON report (a worker's cache temperature is
-    #: an implementation detail); asserted on by the benchmarks.
-    cache_misses: int = 0
     #: True when this result was reconstructed from a stored verdict
     #: rather than replayed.  Excluded from the per-result JSON: apart
     #: from the top-level cache counters, a warm report must be
@@ -337,26 +329,30 @@ def plan_jobs(
     verify: bool,
     engine: str = DEFAULT_ENGINE,
     symbolic: bool = False,
-) -> List[ShardSpec]:
+) -> List[BatchJob]:
     """The deterministic job list for one batch invocation.
 
-    Every entry gets at least one job.  Verified entries are sharded;
-    each shard re-derives the binding in its worker (the replay is
-    memoized per process) and verifies its window of the scenario
-    stream.  Entries expected to fail get a replay-only job.
+    Every entry gets at least one job.  A verified entry's shards go
+    :data:`RUN_SHARDS` to a job; each job re-derives the binding where
+    it runs (the replay is memoized per process) and verifies its
+    windows of the scenario stream.  Entries expected to fail get a
+    replay-only job.
     """
-    specs: List[ShardSpec] = []
+    jobs: List[BatchJob] = []
     for entry in entries:
         wants_verify = verify and entry.has_scenario and not entry.expect_failure
-        windows = shard_plan(trials) if wants_verify else ()
-        if not windows:
-            specs.append(ShardSpec(entry.name, 0, 0, seed, engine, symbolic))
-            continue
-        for offset, count in windows:
-            specs.append(
-                ShardSpec(entry.name, offset, count, seed, engine, symbolic)
+        windows = (shard_plan(trials) if wants_verify else ()) or ((0, 0),)
+        for start in range(0, len(windows), RUN_SHARDS):
+            jobs.append(
+                BatchJob(
+                    entry.name,
+                    windows[start : start + RUN_SHARDS],
+                    seed,
+                    engine,
+                    symbolic,
+                )
             )
-    return specs
+    return jobs
 
 
 @lru_cache(maxsize=None)
@@ -371,110 +367,53 @@ def _clear_replay_cache() -> None:
     _replay.cache_clear()
 
 
-def _cache_miss_count() -> int:
-    """Total parse + kernel cache misses in this process so far."""
-    from ..isdl.cache import cache_stats
-    from ..semantics.vectorized import vector_cache_stats
-
-    return (
-        sum(stats["misses"] for stats in cache_stats().values())
-        + vector_cache_stats()["misses"]
-    )
-
-
-def preload_caches(specs: Sequence[ShardSpec]) -> None:
-    """Warm every cache the workers will need, in the parent process.
-
-    On platforms that fork (the Linux default), worker processes
-    inherit the parent's memory copy-on-write, so replaying each
-    analysis and lowering its final descriptions *once* here means no
-    worker ever parses or lowers cold — ``execute_shards``'s
-    ``cache_misses`` accounting stays at zero per worker, which
-    ``tests/analysis/test_preload.py`` asserts.
-
-    Per-entry failures are swallowed: a broken analysis must surface as
-    that entry's structured job record, not abort the whole batch here.
-    """
-    from ..semantics.vectorized import compile_vectorized
-
-    seen = set()
-    for spec in specs:
-        if spec.name in seen:
-            continue
-        seen.add(spec.name)
-        try:
-            module, outcome = _replay(spec.name)
-            if spec.engine != "interp" and outcome.succeeded and outcome.binding:
-                compile_vectorized(outcome.binding.final_operator)
-                compile_vectorized(outcome.binding.augmented_instruction)
-            if spec.symbolic and outcome.succeeded and outcome.binding:
-                scenario = getattr(module, "SCENARIO", None)
-                if scenario is not None:
-                    # Warm the content-keyed prove cache pre-fork: every
-                    # shard of this entry then hits it instead of
-                    # re-running symbolic execution per worker.
-                    from ..symbolic import prove_binding
-
-                    prove_binding(
-                        outcome.binding, scenario, seed=spec.seed
-                    )
-        except Exception:  # noqa: BLE001 - the worker will report it
-            continue
+def _record(error: Optional[str] = None) -> Dict[str, object]:
+    """A window's record before its job ran (``error``: it never will)."""
+    return {
+        "succeeded": False,
+        "steps": None,
+        "failure": None,
+        "verified": 0,
+        "error": error,
+    }
 
 
-def execute_shards(specs: Sequence[ShardSpec]) -> List[Dict[str, object]]:
-    """Run shards of one entry; always returns one structured,
-    picklable record per shard, in order.
+def execute_shards(job: BatchJob) -> List[Dict[str, object]]:
+    """Run one job; always returns one structured, picklable record
+    per window, in order.
 
-    The entry is replayed and lint-gated once, and every shard that
+    The entry is replayed and lint-gated once, and every window that
     verifies trials is one window of a single
     :func:`~repro.analysis.verify.verify_binding` call, so on the
     vectorized engine each final description runs once over all of
-    the run's trials.  The serial runner passes an entry's shards
-    :data:`RUN_SHARDS` at a time; a pool job passes one.  Each shard
-    still gets its own verdict: a window that fails leaves the other
-    windows' records as they are.
+    the job's trials.  Each window still gets its own verdict: a
+    window that fails leaves the other windows' records as they are.
 
     A successfully replayed binding is lint-gated *before* any trial
     runs: gate rejections land in ``record["error"]`` with a
     ``LintGateError:`` prefix — structurally distinct from a fuzz
     mismatch (``record["failure"]``) and from a timeout (no record).
-    The run's duration, cache misses and metrics delta ride on its
-    first record.
+    A job with ``collect`` set runs in a registry of its own, whose
+    snapshot rides on its first record.
     """
+    if not job.collect:
+        return _run_job(job)
+    with obs.collecting() as registry:
+        records = _run_job(job)
+    # The parent merges these snapshots in plan order (see run_batch).
+    records[0]["metrics"] = registry.snapshot()
+    return records
+
+
+def _run_job(job: BatchJob) -> List[Dict[str, object]]:
+    """:func:`execute_shards` in whatever registry is installed."""
     from ..lint import LintGateError, lint_binding
     from .verify import VerificationFailure, verify_binding
 
-    first = specs[0]
-    started = time.perf_counter()
-    misses_before = _cache_miss_count()
-    registry = obs.active()
-    local_collect = None
-    if registry is None and first.collect:
-        # A persistent-pool worker forked before collection was turned
-        # on in the parent: install a job-local registry so the delta
-        # this shard produces still rides the record back.
-        local_collect = obs.collecting()
-        registry = local_collect.__enter__()
-    metrics_before = registry.snapshot() if registry is not None else None
-    records: List[Dict[str, object]] = [
-        {
-            "name": spec.name,
-            "offset": spec.offset,
-            "count": spec.count,
-            "succeeded": False,
-            "steps": None,
-            "failure": None,
-            "verified": 0,
-            "error": None,
-            "duration": 0.0,
-            "cache_misses": 0,
-        }
-        for spec in specs
-    ]
+    records = [_record() for _ in job.windows]
     try:
-        with obs.span("shard", analysis=first.name):
-            module, outcome = _replay(first.name)
+        with obs.span("shard", analysis=job.name):
+            module, outcome = _replay(job.name)
             for record in records:
                 record["succeeded"] = outcome.succeeded
                 record["steps"] = outcome.steps
@@ -484,23 +423,24 @@ def execute_shards(specs: Sequence[ShardSpec]) -> List[Dict[str, object]]:
                 if gate:
                     raise LintGateError(tuple(gate))
             scenario = getattr(module, "SCENARIO", None)
-            verifying = [record for record in records if record["count"]]
+            verifying = [
+                (window, record)
+                for window, record in zip(job.windows, records)
+                if window[1]
+            ]
             if outcome.succeeded and scenario is not None and verifying:
                 reports = verify_binding(
                     outcome.binding,
                     scenario,
                     config=RunConfig(
-                        engine=first.engine,
-                        seed=first.seed,
-                        symbolic=first.symbolic,
+                        engine=job.engine,
+                        seed=job.seed,
+                        symbolic=job.symbolic,
                     ),
-                    windows=[
-                        (record["offset"], record["count"])
-                        for record in verifying
-                    ],
+                    windows=[window for window, _ in verifying],
                     gate="sampled",
                 )
-                for record, report in zip(verifying, reports):
+                for (_, record), report in zip(verifying, reports):
                     if isinstance(report, VerificationFailure):
                         record["failure"] = f"VerificationFailure: {report}"
                         record["succeeded"] = False
@@ -518,31 +458,19 @@ def execute_shards(specs: Sequence[ShardSpec]) -> List[Dict[str, object]]:
     except Exception as error:  # noqa: BLE001 - structured, not fatal
         for record in records:
             record["error"] = f"{type(error).__name__}: {error}"
-    head = records[0]
-    head["duration"] = time.perf_counter() - started
-    head["cache_misses"] = _cache_miss_count() - misses_before
-    if registry is not None and metrics_before is not None:
-        # In a pool worker this delta rides the record back to the
-        # parent, which merges deltas in deterministic plan order; in
-        # serial mode the shared registry already holds these counts,
-        # so the parent must NOT merge (see run_batch).
-        head["metrics"] = diff_snapshots(metrics_before, registry.snapshot())
-    if local_collect is not None:
-        local_collect.__exit__(None, None, None)
     return records
 
 
 def _aggregate(
     entries: Sequence[CatalogEntry],
-    records: Dict[Tuple[str, int], Optional[Dict[str, object]]],
-    specs: Sequence[ShardSpec],
+    jobs: Sequence[BatchJob],
+    outcomes: Sequence[Sequence[Optional[Dict[str, object]]]],
 ) -> List[JobResult]:
-    """Fold shard records into one :class:`JobResult` per entry."""
-    by_entry: Dict[str, List[Tuple[ShardSpec, Optional[Dict[str, object]]]]] = {}
-    for spec in specs:
-        by_entry.setdefault(spec.name, []).append(
-            (spec, records.get((spec.name, spec.offset)))
-        )
+    """Fold each job's window records into one :class:`JobResult` per
+    entry; a ``None`` record is a window that timed out."""
+    by_entry: Dict[str, List[Optional[Dict[str, object]]]] = {}
+    for job, records in zip(jobs, outcomes):
+        by_entry.setdefault(job.name, []).extend(records)
     results = []
     for entry in entries:
         result = JobResult(
@@ -551,12 +479,11 @@ def _aggregate(
             expected="failure" if entry.expect_failure else "success",
         )
         saw_record = False
-        for spec, record in by_entry.get(entry.name, ()):
+        for record in by_entry.get(entry.name, ()):
             result.shards += 1
             if record is None:
                 result.timed_out = True
                 continue
-            result.duration += float(record.get("duration") or 0.0)
             if record["error"]:
                 if result.error is None:
                     result.error = str(record["error"])
@@ -574,7 +501,6 @@ def _aggregate(
             if record["failure"] and not result.failure:
                 result.failure = str(record["failure"])
             result.verified_trials += int(record["verified"])  # type: ignore[arg-type]
-            result.cache_misses += int(record.get("cache_misses") or 0)
         if result.failure is not None:
             result.succeeded = False
         results.append(result)
@@ -702,37 +628,18 @@ def _record_verdicts(
 _BROKEN_POOL_ERROR = "BrokenProcessPool: worker process died unexpectedly"
 
 
-def _error_record(spec: ShardSpec, message: str) -> Dict[str, object]:
-    """A structured record for a job whose worker never returned one."""
-    return {
-        "name": spec.name,
-        "offset": spec.offset,
-        "count": spec.count,
-        "succeeded": False,
-        "steps": None,
-        "failure": None,
-        "verified": 0,
-        "error": message,
-        "duration": 0.0,
-        "cache_misses": 0,
-    }
-
-
 def _run_pool(
-    specs: Sequence[ShardSpec],
-    jobs: int,
+    jobs: Sequence[BatchJob],
+    workers: int,
     timeout: Optional[float],
-) -> Dict[Tuple[str, int], Optional[Dict[str, object]]]:
-    """Execute ``specs`` on the persistent process pool with timeouts.
+) -> List[List[Optional[Dict[str, object]]]]:
+    """Execute ``jobs`` on the persistent process pool with timeouts;
+    returns each job's window records, in plan order.
 
     The pool comes from :mod:`repro.analysis.pool` and **outlives this
     call**: the first pooled batch spawns it, later batches reuse it —
     together with every parse/compile/replay cache its workers have
-    warmed.  When a fresh pool is spawned, the parent's caches are
-    preloaded *before* the first submission so the lazily forked
-    workers inherit them copy-on-write (:func:`preload_caches`); a
-    reused pool skips the preload — its workers are already warm (or
-    will replay on demand, memoized per process).
+    warmed.
 
     Submission is throttled to the number of free worker slots, so a
     job's dispatch time is (to within scheduler noise) the time its
@@ -740,43 +647,46 @@ def _run_pool(
     there — a job queued behind others is never charged for its wait.
 
     A running process task cannot be preempted: a job that misses its
-    deadline is recorded as timed out and its worker slot is written
-    off (the abandoned worker keeps running; the pool is *invalidated*
-    at the end, so the next pooled run starts fresh).  Jobs that can
-    no longer be scheduled because every slot has been written off are
-    reported as timed out too.  A worker crash breaks the whole pool,
-    so the crashed job and all still-unfinished jobs are recorded with
-    a distinct ``BrokenProcessPool`` error, never as timeouts — and
-    the broken pool is likewise invalidated rather than reused.
+    deadline is recorded as timed out (``None`` for each window) and
+    its worker slot is written off (the abandoned worker keeps
+    running; the pool is *invalidated* at the end, so the next pooled
+    run starts fresh).  Jobs that can no longer be scheduled because
+    every slot has been written off are reported as timed out too.  A
+    worker crash breaks the whole pool, so the crashed job and all
+    still-unfinished jobs get a distinct ``BrokenProcessPool`` error
+    record per window, never a timeout — and the broken pool is
+    likewise invalidated rather than reused.
     """
-    import dataclasses
-
     from .pool import get_pool
 
     manager = get_pool()
-    pool, fresh = manager.acquire(jobs)
-    if fresh:
-        preload_caches(specs)
+    pool = manager.acquire(workers)
     # A persistent pool's workers may have forked before this run's
-    # metrics window opened, so worker-side collection is requested
-    # per job instead of relying on fork-inherited registries.
+    # metrics window opened, so each job collects its own metrics.
     collect = obs.enabled()
-    records: Dict[Tuple[str, int], Optional[Dict[str, object]]] = {}
-    queue = list(specs)
-    pending: Dict[concurrent.futures.Future, Tuple[ShardSpec, float]] = {}
+    outcomes: List[List[Optional[Dict[str, object]]]] = [[] for _ in jobs]
+
+    def settle(index: int, error: Optional[str]) -> None:
+        # A job whose worker returned no records: an error record, or
+        # None when it timed out, for each of its windows.
+        outcomes[index] = [
+            None if error is None else _record(error)
+            for _ in jobs[index].windows
+        ]
+
+    queue = list(range(len(jobs)))
+    pending: Dict[concurrent.futures.Future, Tuple[int, float]] = {}
     abandoned = 0  # slots held by timed-out jobs that cannot be preempted
     broken = False
     try:
         while queue or pending:
-            while queue and not broken and len(pending) < jobs - abandoned:
-                spec = queue.pop(0)
-                job = (
-                    dataclasses.replace(spec, collect=True)
-                    if collect and not spec.collect
-                    else spec
-                )
+            while queue and not broken and len(pending) < workers - abandoned:
+                index = queue.pop(0)
                 try:
-                    future = pool.submit(execute_shards, (job,))
+                    future = pool.submit(
+                        execute_shards,
+                        dataclasses.replace(jobs[index], collect=collect),
+                    )
                 except (
                     RuntimeError,
                     concurrent.futures.process.BrokenProcessPool,
@@ -786,18 +696,12 @@ def _run_pool(
                     # concurrent invalidation).  Either way this pool
                     # cannot take more work.
                     broken = True
-                    records[(spec.name, spec.offset)] = _error_record(
-                        spec, _BROKEN_POOL_ERROR
-                    )
+                    settle(index, _BROKEN_POOL_ERROR)
                     break
-                pending[future] = (spec, time.monotonic())
-            if queue and (broken or jobs - abandoned <= 0):
-                for spec in queue:
-                    records[(spec.name, spec.offset)] = (
-                        _error_record(spec, _BROKEN_POOL_ERROR)
-                        if broken
-                        else None
-                    )
+                pending[future] = (index, time.monotonic())
+            if queue and (broken or workers - abandoned <= 0):
+                for index in queue:
+                    settle(index, _BROKEN_POOL_ERROR if broken else None)
                 queue.clear()
             if not pending:
                 continue
@@ -814,36 +718,33 @@ def _run_pool(
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             for future in done:
-                spec, _dispatched = pending.pop(future)
-                key = (spec.name, spec.offset)
+                index, _dispatched = pending.pop(future)
                 try:
-                    (records[key],) = future.result()
+                    outcomes[index] = future.result()
                 except concurrent.futures.process.BrokenProcessPool:
                     broken = True
-                    records[key] = _error_record(spec, _BROKEN_POOL_ERROR)
+                    settle(index, _BROKEN_POOL_ERROR)
                 except Exception as error:  # noqa: BLE001 - structured
-                    records[key] = _error_record(
-                        spec, f"{type(error).__name__}: {error}"
-                    )
+                    settle(index, f"{type(error).__name__}: {error}")
             if timeout is not None:
                 now = time.monotonic()
                 expired = [
                     future
-                    for future, (_spec, dispatched) in pending.items()
+                    for future, (_index, dispatched) in pending.items()
                     if now - dispatched >= timeout
                 ]
                 for future in expired:
-                    spec, _dispatched = pending.pop(future)
+                    index, _dispatched = pending.pop(future)
                     if not future.cancel():
                         abandoned += 1
-                    records[(spec.name, spec.offset)] = None
+                    settle(index, None)
     finally:
         if broken or abandoned:
             # Damaged pools are never reused: a crash poisons the
             # executor and an abandoned worker is still chewing on a
             # timed-out job.  The next pooled run spawns fresh.
             manager.invalidate(pool)
-    return records
+    return outcomes
 
 
 def run_batch(
@@ -867,11 +768,10 @@ def run_batch(
     :mod:`repro.semantics.engine`); the JSON report is byte-identical
     across engines by construction.  Parallel mode draws workers from
     the persistent pool (:mod:`repro.analysis.pool`): the first pooled
-    run warms the parent's parse and compile caches before the pool's
-    workers fork (:func:`preload_caches`), and later runs reuse the
-    live workers — and their accumulated caches — outright.  A run
-    fully served from the verdict store schedules no jobs and touches
-    no pool at all, whatever ``jobs`` says.
+    run spawns it, and later runs reuse the live workers — and their
+    accumulated caches — outright.  A run fully served from the
+    verdict store schedules no jobs and touches no pool at all,
+    whatever ``jobs`` says.
 
     ``cache_dir`` names a provenance store root and turns on the
     incremental mode: entries whose verdict key is already memoized
@@ -880,9 +780,9 @@ def run_batch(
     caching — every entry runs.
 
     When metrics collection is on (:func:`repro.obs.collecting`), the
-    run is traced end to end: pool workers snapshot their registry
-    around each shard and ship the delta back in the job record, and
-    the parent merges those deltas in deterministic plan order, so the
+    run is traced end to end: each pooled job collects in a registry of
+    its own and ships its snapshot back with its records, and the
+    parent merges those snapshots in deterministic plan order, so the
     final snapshot is independent of worker scheduling
     (:func:`repro.api.batch` attaches it with ``metrics=True``).
     """
@@ -925,7 +825,7 @@ def run_batch(
         miss_entries = tuple(
             entry for entry in entries if entry.name not in cached
         )
-        specs = plan_jobs(
+        jobs = plan_jobs(
             miss_entries,
             cfg.trials,
             cfg.seed,
@@ -934,37 +834,27 @@ def run_batch(
             cfg.symbolic,
         )
         _clear_replay_cache()
-        records: Dict[Tuple[str, int], Optional[Dict[str, object]]] = {}
-        if cfg.jobs == 1 or not specs:
+        if cfg.jobs == 1 or not jobs:
             # Serial runs never construct a pool, and neither does a
             # pooled run whose every entry was served from the verdict
             # store — a warm request must not pay for process spin-up
-            # it will not use (the spawn counter stays flat).  An
-            # entry's shards run RUN_SHARDS per call, so they share one
-            # replay and one wide batch per description.
-            for _, shards in itertools.groupby(specs, lambda spec: spec.name):
-                shards = tuple(shards)
-                for start in range(0, len(shards), RUN_SHARDS):
-                    run = shards[start : start + RUN_SHARDS]
-                    for spec, record in zip(run, execute_shards(run)):
-                        records[(spec.name, spec.offset)] = record
+            # it will not use (the spawn counter stays flat).
+            outcomes = [execute_shards(job) for job in jobs]
         else:
-            records = _run_pool(specs, cfg.jobs, cfg.timeout)
+            outcomes = _run_pool(jobs, cfg.jobs, cfg.timeout)
             if obs.enabled():
-                # Pool workers mutated *their* registries, not ours:
-                # merge the per-shard deltas they shipped back, in plan
+                # Pool workers counted into *their* registries, not
+                # ours: merge the snapshots they shipped back, in plan
                 # order so the result is scheduling-independent.  The
                 # serial path above shares this process's registry, so
-                # its shards are already counted — merging would double.
-                for spec in specs:
-                    worker_record = records.get((spec.name, spec.offset))
-                    if isinstance(worker_record, dict):
-                        delta = worker_record.get("metrics")
-                        if isinstance(delta, dict):
-                            obs.merge(delta)
+                # its jobs are already counted — merging would double.
+                for records in outcomes:
+                    head = records[0]
+                    if head is not None and "metrics" in head:
+                        obs.merge(head["metrics"])
         fresh = {
             result.name: result
-            for result in _aggregate(miss_entries, records, specs)
+            for result in _aggregate(miss_entries, jobs, outcomes)
         }
         results = [
             cached[entry.name] if entry.name in cached else fresh[entry.name]

@@ -37,7 +37,6 @@ from .metrics import (
     MetricsRegistry,
     bounds_for,
     counter_value,
-    diff_snapshots,
     empty_snapshot,
     gauge_value,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "active",
     "collecting",
     "counter_value",
-    "diff_snapshots",
     "empty_snapshot",
     "enabled",
     "export_json",
@@ -152,8 +150,8 @@ def snapshot() -> Dict[str, object]:
     return registry.snapshot()
 
 
-def merge(delta: Mapping[str, object]) -> None:
-    """Merge a snapshot delta into the installed registry (if any)."""
+def merge(snapshot: Mapping[str, object]) -> None:
+    """Merge a snapshot into the installed registry (if any)."""
     registry = _registry
     if registry is not None:
-        registry.merge(delta)
+        registry.merge(snapshot)

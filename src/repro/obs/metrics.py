@@ -21,10 +21,10 @@ docs-sync tests iterate the declarations).
 
 Snapshots are plain JSON-ready dicts with deterministically sorted
 sample lists, so two registries that counted the same events produce
-equal snapshots.  :func:`merge_snapshot` and :func:`diff_snapshots`
-make per-shard accounting exact across the batch runner's process
-pool: each worker records the delta its shard produced, and the parent
-merges the deltas in deterministic job order.
+equal snapshots.  :meth:`MetricsRegistry.merge` makes accounting exact
+across the batch runner's process pool: each pooled job collects in a
+registry of its own, and the parent merges their snapshots in
+deterministic job order.
 
 Durations recorded here are observability data only: they never enter
 provenance digests (the same rule ``repro.provenance`` applies to
@@ -280,8 +280,8 @@ class MetricsRegistry:
 
     Thread-safe: the batch runner's serial path and any in-process
     threading can share one registry.  Cross-process aggregation goes
-    through :meth:`snapshot` + :func:`merge_snapshot` instead — worker
-    deltas merge deterministically in the parent.
+    through :meth:`snapshot` + :meth:`merge` instead — worker
+    snapshots merge deterministically in the parent.
     """
 
     def __init__(self) -> None:
@@ -357,7 +357,7 @@ class MetricsRegistry:
         }
 
     def merge(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a snapshot (typically a worker's delta) into this registry.
+        """Fold a snapshot (typically a pooled job's) into this registry.
 
         Counters and histograms add; gauges overwrite (last write wins,
         so merge order — the batch runner uses deterministic job order
@@ -408,68 +408,6 @@ def empty_snapshot() -> Dict[str, object]:
         "counters": [],
         "gauges": [],
         "histograms": [],
-    }
-
-
-def diff_snapshots(
-    before: Mapping[str, object], after: Mapping[str, object]
-) -> Dict[str, object]:
-    """The work recorded between two snapshots of one registry.
-
-    Counters and histogram buckets subtract (dropping all-zero
-    series); gauges keep ``after``'s absolute values — a gauge is a
-    statement about the present, not an accumulation.
-    """
-
-    def index(snapshot, section):
-        return {
-            (sample["name"], _label_key(sample.get("labels", {}))): sample
-            for sample in _samples(snapshot, section)
-        }
-
-    counters = []
-    before_counters = index(before, "counters")
-    for (name, key), sample in sorted(index(after, "counters").items()):
-        prior = before_counters.get((name, key))
-        delta = int(sample["value"]) - (int(prior["value"]) if prior else 0)
-        if delta:
-            counters.append(
-                {"name": name, "labels": dict(key), "value": delta}
-            )
-    histograms = []
-    before_histograms = index(before, "histograms")
-    for (name, key), sample in sorted(index(after, "histograms").items()):
-        prior = before_histograms.get((name, key))
-        prior_buckets = list(prior["buckets"]) if prior else [0] * len(sample["buckets"])
-        buckets = [
-            int(bucket_count) - int(prior_count)
-            for bucket_count, prior_count in zip(sample["buckets"], prior_buckets)
-        ]
-        count = int(sample["count"]) - (int(prior["count"]) if prior else 0)
-        if count:
-            histograms.append(
-                {
-                    "name": name,
-                    "labels": dict(key),
-                    "buckets": buckets,
-                    "sum": float(sample["sum"]) - (float(prior["sum"]) if prior else 0.0),
-                    "count": count,
-                }
-            )
-    gauges = [
-        {
-            "name": sample["name"],
-            "labels": dict(sample.get("labels", {})),
-            "value": sample["value"],
-        }
-        for sample in _samples(after, "gauges")
-    ]
-    order = lambda sample: (sample["name"], sorted(sample["labels"].items()))  # noqa: E731
-    return {
-        "schema": METRICS_SCHEMA,
-        "counters": sorted(counters, key=order),
-        "gauges": sorted(gauges, key=order),
-        "histograms": sorted(histograms, key=order),
     }
 
 

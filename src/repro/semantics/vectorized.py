@@ -1455,8 +1455,7 @@ class _VectorMemo:
     scheme of the parse memos in :mod:`repro.isdl.cache`, under the
     ``vectorized`` namespace; the text comes from the per-object memo
     in :mod:`repro.isdl.digest`), so structurally identical descriptions
-    share one lowering and forked batch workers inherit a warm cache
-    from the parent process.
+    share one lowering per process.
     """
 
     def __init__(self) -> None:

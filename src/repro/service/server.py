@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .. import obs
+from ..analysis.config import RunConfig
 from ..operations import ROUTES, http_inputs, invoke, wire
 
 #: Largest accepted request body, in bytes.
@@ -95,6 +96,15 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        # The defaults must form a plan some request could run, and a
+        # request's time limit must be positive as a job's is: checked
+        # as a RunConfig checks its own fields.
+        RunConfig(
+            trials=self.trials,
+            seed=self.seed,
+            jobs=self.jobs,
+            timeout=self.request_timeout,
+        )
 
 
 class _HttpError(Exception):

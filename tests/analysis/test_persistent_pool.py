@@ -1,8 +1,11 @@
 """The persistent worker pool: reuse, respawn, and the no-pool paths."""
 
+import json
+
 import pytest
 
-from repro import obs
+import repro.analysis.runner as runner_module
+from repro import api, obs
 from repro.analysis.config import RunConfig
 from repro.analysis.pool import PersistentPool, get_pool, shutdown_pool
 from repro.analysis.runner import run_batch
@@ -30,8 +33,7 @@ class TestPersistentPool:
     def test_first_acquire_spawns(self):
         pool = PersistentPool()
         with obs.collecting() as registry:
-            executor, fresh = pool.acquire(2)
-            assert fresh
+            pool.acquire(2)
             assert pool.workers == 2
             assert counters(registry) == (1, 0)
         pool.shutdown()
@@ -39,40 +41,35 @@ class TestPersistentPool:
     def test_second_acquire_reuses(self):
         pool = PersistentPool()
         with obs.collecting() as registry:
-            first, _ = pool.acquire(2)
-            second, fresh = pool.acquire(2)
-            assert second is first and not fresh
-            third, fresh = pool.acquire(1)  # smaller demand also fits
-            assert third is first and not fresh
+            first = pool.acquire(2)
+            assert pool.acquire(2) is first
+            assert pool.acquire(1) is first  # smaller demand also fits
             assert counters(registry) == (1, 2)
         pool.shutdown()
 
     def test_larger_demand_respawns(self):
         pool = PersistentPool()
         with obs.collecting() as registry:
-            first, _ = pool.acquire(1)
-            second, fresh = pool.acquire(2)
-            assert fresh and second is not first
+            first = pool.acquire(1)
+            assert pool.acquire(2) is not first
             assert pool.workers == 2
             assert counters(registry) == (2, 0)
         pool.shutdown()
 
     def test_invalidate_forces_fresh_spawn(self):
         pool = PersistentPool()
-        executor, _ = pool.acquire(2)
+        executor = pool.acquire(2)
         pool.invalidate(executor)
         assert pool.workers == 0
-        replacement, fresh = pool.acquire(2)
-        assert fresh and replacement is not executor
+        assert pool.acquire(2) is not executor
         pool.shutdown()
 
     def test_invalidate_spares_newer_pool(self):
         pool = PersistentPool()
-        stale, _ = pool.acquire(1)
-        current, _ = pool.acquire(2)  # respawned: ``stale`` is gone
+        stale = pool.acquire(1)
+        current = pool.acquire(2)  # respawned: ``stale`` is gone
         pool.invalidate(stale)
-        live, fresh = pool.acquire(2)
-        assert live is current and not fresh
+        assert pool.acquire(2) is current
         pool.shutdown()
 
     def test_acquire_rejects_zero_workers(self):
@@ -121,3 +118,27 @@ class TestRunnerIntegration:
             names=NAMES, config=RunConfig(jobs=2, trials=6)
         ).to_json()
         assert serial == pooled
+
+    def test_pooled_and_serial_runs_do_the_same_work(self, monkeypatch):
+        # Two shards a job: 130 trials are three shards, so two jobs
+        # per entry.  The pool runs the very jobs a serial run does, so
+        # it makes the same batch runs over the same lanes.
+        monkeypatch.setattr(runner_module, "RUN_SHARDS", 2)
+        work = (
+            "repro_engine_batch_runs_total",
+            "repro_engine_lanes_total",
+            "repro_engine_gate_checks_total",
+            "repro_verify_trials_total",
+        )
+        reports, counts = [], []
+        for jobs in (1, 2):
+            result = api.batch(
+                NAMES, RunConfig(jobs=jobs, trials=130), metrics=True
+            )
+            payload = json.loads(result.to_json())
+            metrics = payload.pop("metrics")
+            reports.append(payload)
+            counts.append([obs.counter_value(metrics, name) for name in work])
+        assert reports[0] == reports[1]
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 2 * 2 * len(NAMES)  # 2 jobs x 2 descriptions

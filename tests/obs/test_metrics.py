@@ -2,10 +2,10 @@
 
 These pin the contracts the instrumented hot paths rely on:
 histogram bucket edges use ``le`` (less-or-equal) semantics, snapshots
-are deterministic and mergeable (the batch runner's per-shard
-accounting depends on merge/diff being exact inverses), undeclared
-metric names are programming errors, and the Prometheus exporter emits
-every declared family even for an empty snapshot.
+are deterministic and mergeable (the batch runner's pooled accounting
+depends on merging being exact), undeclared metric names are
+programming errors, and the Prometheus exporter emits every declared
+family even for an empty snapshot.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     counter_value,
-    diff_snapshots,
     empty_snapshot,
     gauge_value,
 )
@@ -154,37 +153,6 @@ class TestMergeAndDiff:
         assert sample["count"] == 4
         # Gauges overwrite rather than add.
         assert gauge_value(snapshot, "repro_provenance_hit_rate") == 0.25
-
-    def test_diff_recovers_the_delta(self):
-        registry = self._loaded()
-        before = registry.snapshot()
-        registry.inc("repro_verify_trials_total", 5, engine="vectorized")
-        registry.observe("repro_phase_seconds", 0.03, phase="verify")
-        delta = diff_snapshots(before, registry.snapshot())
-        assert counter_value(delta, "repro_verify_trials_total") == 5
-        sample = _histogram_sample(delta, phase="verify")
-        assert sample["count"] == 1
-        # Unchanged series are dropped from the delta entirely.
-        assert counter_value(delta, "repro_parse_cache_hits_total") == 0
-        assert not any(
-            s["name"] == "repro_parse_cache_hits_total" for s in delta["counters"]
-        )
-
-    def test_diff_then_merge_round_trips(self):
-        registry = self._loaded()
-        before = registry.snapshot()
-        registry.inc("repro_compile_cache_misses_total", 3)
-        registry.observe("repro_phase_seconds", 0.2, phase="compile")
-        delta = diff_snapshots(before, registry.snapshot())
-        rebuilt = MetricsRegistry()
-        rebuilt.merge(before)
-        rebuilt.merge(delta)
-        assert rebuilt.snapshot() == registry.snapshot()
-
-    def test_diff_from_empty_snapshot(self):
-        registry = self._loaded()
-        delta = diff_snapshots(empty_snapshot(), registry.snapshot())
-        assert delta == registry.snapshot()
 
 
 class TestDisabledIsNoOp:

@@ -2,6 +2,10 @@
 
 import asyncio
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -281,6 +285,41 @@ class TestBadInputFailsClosed:
             assert status == 200
 
         with_service(make_config(tmp_path), scenario)
+
+
+class TestUnusableDefaultsRejected:
+    """A default no request could run fails when the service is built,
+    not as a 400 or 504 on every request."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"jobs": 0}, "jobs"),
+            ({"trials": 0}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"request_timeout": -1}, "timeout"),
+            ({"request_timeout": 0}, "timeout"),
+        ],
+    )
+    def test_service_config_rejects(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**overrides)
+
+    def test_no_request_timeout_is_allowed(self):
+        assert ServiceConfig(request_timeout=None).request_timeout is None
+
+    def test_serve_exits_2_on_a_negative_timeout(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"]
+            + ["--timeout", "-1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "timeout" in completed.stderr
 
 
 class TestCanonicalBatchBody:

@@ -159,7 +159,7 @@ def test_observability_docs_cover_schema_and_entry_points():
         "--metrics-out",
         "--format prom",
         "`repro.obs.collecting()`",
-        "diff_snapshots",
+        "job-local registry",
     ):
         assert needle in text, needle
 
@@ -207,7 +207,7 @@ def test_design_doc_covers_observability_layer():
     assert "## 9. Observability and the typed facade" in text
     for needle in (
         "`repro.metrics/1`",
-        "diff_snapshots",
+        "job-local registry",
         "RunConfig",
         "repro.operations",
         "docs/observability.md",
