@@ -394,7 +394,8 @@ def execute_shards(job: BatchJob) -> List[Dict[str, object]]:
     ``LintGateError:`` prefix — structurally distinct from a fuzz
     mismatch (``record["failure"]``) and from a timeout (no record).
     A job with ``collect`` set runs in a registry of its own, whose
-    snapshot rides on its first record.
+    snapshot rides on its first record, beside the analysis trace the
+    replay built.
     """
     if not job.collect:
         return _run_job(job)
@@ -422,6 +423,8 @@ def _run_job(job: BatchJob) -> List[Dict[str, object]]:
                 gate = lint_binding(outcome.binding)
                 if gate:
                     raise LintGateError(tuple(gate))
+            # The parent stores this trace with the entry's verdict.
+            records[0]["trace"] = outcome.trace
             scenario = getattr(module, "SCENARIO", None)
             verifying = [
                 (window, record)
@@ -583,15 +586,16 @@ def _result_from_artifact(
 
 def _record_verdicts(
     store,
-    entries: Sequence[CatalogEntry],
     results: Sequence[JobResult],
     keys: Dict[str, Dict[str, object]],
+    traces: Dict[str, object],
 ) -> None:
     """Memoize every fresh, clean verdict of this batch.
 
     Only ``ok`` results are stored: an errored or timed-out entry must
     be re-attempted on the next run, never replayed from the cache.
-    The full two-sided analysis trace (durations stripped, so equal
+    The full two-sided analysis trace (``traces``: the one each entry's
+    job built when it replayed; durations stripped, so equal
     derivations share one object) is stored as an object of its own,
     before the verdict artifact that names it by digest: a store hit
     reads only the verdict, and ``repro replay`` follows the reference
@@ -599,22 +603,15 @@ def _record_verdicts(
     """
     from ..provenance import STORE_SCHEMA, analysis_trace_digest, strip_durations
 
-    by_name = {entry.name: entry for entry in entries}
     for result in results:
         if result.cached or not result.ok or result.name not in keys:
-            continue
-        if result.name not in by_name:
-            continue
-        try:
-            _, outcome = _replay(result.name)
-        except Exception:  # noqa: BLE001 - caching is best-effort
             continue
         payload: Dict[str, object] = {
             "schema": STORE_SCHEMA,
             "key": keys[result.name],
             "result": _result_payload(result),
         }
-        trace = outcome.trace
+        trace = traces.get(result.name)
         if trace is not None:
             payload["trace"] = store.put_object(
                 strip_durations(trace.to_dict())
@@ -861,7 +858,12 @@ def run_batch(
             for entry in entries
         ]
         if store is not None:
-            _record_verdicts(store, entries, results, keys)
+            traces: Dict[str, object] = {}
+            for job, records in zip(jobs, outcomes):
+                head = records[0]
+                if head is not None and "trace" in head:
+                    traces.setdefault(job.name, head["trace"])
+            _record_verdicts(store, results, keys, traces)
         if obs.enabled():
             for result in results:
                 status = (

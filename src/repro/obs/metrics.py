@@ -111,8 +111,8 @@ COUNTERS: Dict[str, str] = {
         "Lanes executed across engine batch runs, by engine."
     ),
     "repro_vector_fallback_total": (
-        "Vectorized batch runs that escalated from the numpy backend "
-        "to the exact pure-python fallback."
+        "Vectorized batch runs the numpy lanes could not run, run "
+        "lane by lane on the interpreter instead."
     ),
     "repro_verify_trials_total": (
         "Differential verification trials executed."

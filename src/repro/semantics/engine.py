@@ -7,9 +7,12 @@ Two engines execute descriptions:
   which resolves each description once into one closure per node;
 * ``vectorized`` — generated batch kernels
   (:mod:`repro.semantics.vectorized`) that run N machine states at
-  once over numpy arrays (or a pure-python vector fallback), with
-  ``repeat``/``exit_when`` handled by active-lane masks.  A scalar run
-  is an N=1 batch.  This is the default engine.
+  once over numpy arrays, with ``repeat``/``exit_when`` handled by
+  active-lane masks.  A batch the numpy lanes cannot run (a value
+  past +/-2**61, a write past the memory image, inputs or memory the
+  lanes cannot hold, or no numpy on the host) runs lane by lane on the
+  interpreter instead.  A scalar run is an N=1 batch.  This is the
+  default engine.
 
 The vectorized engine exists purely for speed, so its correctness is
 enforced structurally rather than trusted: a **differential gate**

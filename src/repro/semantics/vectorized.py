@@ -17,14 +17,15 @@ branches:
   type *and* message — the interpreter would have raised, so
   differential harnesses can compare failure reports byte-for-byte.
 
-The generated kernel is backend-polymorphic: the same source runs on
-NumPy int64 arrays or, when numpy is unavailable, on pure-python list
-vectors (:class:`PyVec`/:class:`PyMask`).  The numpy backend guards
-against int64 overflow with static value-range tracking plus checked
-arithmetic; any batch that could exceed the guarded range escalates
-(:class:`_Escalate`) and transparently re-runs on the exact big-integer
-python backend, so results are *always* bit-identical to the scalar
-reference semantics.
+The kernel runs on NumPy int64 arrays.  It guards against int64
+overflow with static value-range tracking plus checked arithmetic, and
+a batch it cannot run exactly goes to one other path: lane by lane on
+the interpreter, the reference semantics, so results are *always*
+bit-identical to it.  Three kinds of batch take that path: one that
+escalates (:class:`_Escalate`: a value past +/-2**61, or a write past
+the memory image), one whose inputs or initial memory the lanes
+cannot hold (:func:`_np_eligible`), and every batch on a host without
+numpy.
 
 Compiled kernels are cached content-keyed beside the parse memos
 (namespace ``vectorized``), and the engine facade
@@ -46,6 +47,7 @@ from ..isdl.errors import SemanticError
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
+    Interpreter,
     StepLimitExceeded,
     _LoopExit,
 )
@@ -58,253 +60,32 @@ try:  # pragma: no cover - exercised through both branches in CI matrices
 except Exception:  # pragma: no cover
     _np = None
 
-#: True when the fast numpy backend is available.
+#: True when numpy is importable: the kernel runs only then.
 HAVE_NUMPY = _np is not None
 
 #: Default statement budget, matching :class:`Interpreter`.
 DEFAULT_MAX_STEPS = 200_000
 
 #: Values stored into unmasked (``integer``) slots stay within +/-2**61;
-#: anything larger escalates to the exact python backend.
+#: anything larger escalates to the interpreter.
 _GUARD = 1 << 61
 
 #: Checked arithmetic keeps intermediate magnitudes within +/-2**62 so
 #: plain int64 ops on two guarded values can never wrap.
 _SAFE = 1 << 62
 
-#: Dict memories with keys at or above this use the python backend
+#: Dict memories with keys at or above this run on the interpreter
 #: (the dense image would be too wide).
 _MEM_KEY_LIMIT = 1 << 16
 
 
 class _Escalate(Exception):
-    """Internal: this batch needs the exact (python) backend."""
-
-
-# ---------------------------------------------------------------------------
-# pure-python vector backend
-
-
-class PyVec:
-    """A length-N integer vector with numpy-like operator semantics.
-
-    Arithmetic is exact (python big ints), which is what makes the
-    python backend the escalation target for batches whose values
-    outgrow the int64 guard range.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, values: List[int]):
-        self.v = values
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-    def __getitem__(self, index: int) -> int:
-        return self.v[index]
-
-    def _coerce(self, other) -> List[int]:
-        if isinstance(other, PyVec):
-            return other.v
-        return [other] * len(self.v)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return PyVec([a + b for a, b in zip(self.v, o)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return PyVec([a - b for a, b in zip(self.v, o)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return PyVec([b - a for a, b in zip(self.v, o)])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return PyVec([a * b for a, b in zip(self.v, o)])
-
-    __rmul__ = __mul__
-
-    def __and__(self, other):
-        o = self._coerce(other)
-        return PyVec([a & b for a, b in zip(self.v, o)])
-
-    __rand__ = __and__
-
-    def __neg__(self):
-        return PyVec([-a for a in self.v])
-
-    def __eq__(self, other):  # type: ignore[override]
-        o = self._coerce(other)
-        return PyMask([a == b for a, b in zip(self.v, o)])
-
-    def __ne__(self, other):  # type: ignore[override]
-        o = self._coerce(other)
-        return PyMask([a != b for a, b in zip(self.v, o)])
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return PyMask([a < b for a, b in zip(self.v, o)])
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return PyMask([a <= b for a, b in zip(self.v, o)])
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return PyMask([a > b for a, b in zip(self.v, o)])
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return PyMask([a >= b for a, b in zip(self.v, o)])
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-class PyMask:
-    """A length-N boolean lane mask for the python backend."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, values: List[bool]):
-        self.v = values
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-    def __getitem__(self, index: int) -> bool:
-        return self.v[index]
-
-
-class _PythonOps:
-    """Exact list-based backend: slow, but bit-identical big-int math."""
-
-    name = "python"
-
-    def true_mask(self, n):
-        return PyMask([True] * n)
-
-    def zeros(self, n):
-        return PyVec([0] * n)
-
-    def budget(self, n, max_steps):
-        return PyVec([max_steps] * n)
-
-    def any(self, m):
-        if isinstance(m, PyMask):
-            return any(m.v)
-        return bool(m)
-
-    def andm(self, a, b):
-        if isinstance(a, PyMask) and isinstance(b, PyMask):
-            return PyMask([x and y for x, y in zip(a.v, b.v)])
-        if isinstance(a, PyMask):
-            return a if b else PyMask([False] * len(a.v))
-        if isinstance(b, PyMask):
-            return b if a else PyMask([False] * len(b.v))
-        return bool(a) and bool(b)
-
-    def orm(self, a, b):
-        if isinstance(a, PyMask) and isinstance(b, PyMask):
-            return PyMask([x or y for x, y in zip(a.v, b.v)])
-        if isinstance(a, PyMask):
-            return PyMask([True] * len(a.v)) if b else a
-        if isinstance(b, PyMask):
-            return PyMask([True] * len(b.v)) if a else b
-        return bool(a) or bool(b)
-
-    def notm(self, a):
-        if isinstance(a, PyMask):
-            return PyMask([not x for x in a.v])
-        return not a
-
-    def andnot(self, a, b):
-        return self.andm(a, self.notm(b))
-
-    def b2i(self, x):
-        if isinstance(x, PyMask):
-            return PyVec([1 if b else 0 for b in x.v])
-        if isinstance(x, bool):
-            return 1 if x else 0
-        return x
-
-    def sel(self, m, a, b):
-        if not isinstance(m, PyMask):
-            return a if m else b
-        n = len(m.v)
-        av = a.v if isinstance(a, PyVec) else [a] * n
-        bv = b.v if isinstance(b, PyVec) else [b] * n
-        return PyVec([av[i] if m.v[i] else bv[i] for i in range(n)])
-
-    def stor(self, dst, v, m):
-        dv = dst.v
-        if isinstance(m, PyMask):
-            vv = v.v if isinstance(v, PyVec) else None
-            for i, on in enumerate(m.v):
-                if on:
-                    dv[i] = vv[i] if vv is not None else v
-        elif m:
-            vv = v.v if isinstance(v, PyVec) else None
-            for i in range(len(dv)):
-                dv[i] = vv[i] if vv is not None else v
-
-    def dec(self, budget, m, k):
-        bv = budget.v
-        if isinstance(m, PyMask):
-            for i, on in enumerate(m.v):
-                if on:
-                    bv[i] -= k
-        elif m:
-            for i in range(len(bv)):
-                bv[i] -= k
-
-    def lanes(self, m):
-        if isinstance(m, PyMask):
-            return [i for i, on in enumerate(m.v) if on]
-        return []
-
-    def at(self, vec, lane):
-        if isinstance(vec, PyVec):
-            return vec.v[lane]
-        return int(vec)
-
-    def mask_at(self, m, lane):
-        if isinstance(m, PyMask):
-            return bool(m.v[lane])
-        return bool(m)
-
-    def freeze(self, v):
-        if isinstance(v, PyVec):
-            return PyVec(list(v.v))
-        return v
-
-    def max_abs(self, x):
-        if isinstance(x, PyVec):
-            return max((abs(a) for a in x.v), default=0)
-        return abs(int(x))
-
-    # Exact arithmetic: the guard/checked ops are identities here.
-    def guard61(self, x):
-        return x
-
-    def cadd(self, a, b):
-        return a + b
-
-    def csub(self, a, b):
-        return a - b
-
-    def cmul(self, a, b):
-        return a * b
+    """Internal: this batch needs the interpreter's exact integers."""
 
 
 class _NumpyOps:
-    """int64 array backend with overflow guards that escalate."""
-
-    name = "numpy"
+    """The kernel's lane ops: int64 arrays with overflow guards that
+    escalate."""
 
     def true_mask(self, n):
         return _np.ones(n, dtype=bool)
@@ -403,7 +184,6 @@ class _NumpyOps:
         return a * b
 
 
-_PY_OPS = _PythonOps()
 _NP_OPS = _NumpyOps() if HAVE_NUMPY else None
 
 
@@ -416,13 +196,12 @@ _NPMEM_ROWS: Dict[int, Any] = {}
 
 
 class _NpMem:
-    """Dense ``(n, width)`` uint8 memory image (numpy backend).
+    """Dense ``(n, width)`` uint8 memory image of a batch's lanes.
 
     Reads outside the image return 0 (sparse-memory semantics); writes
-    outside it escalate to the python backend, which grows dicts
-    arbitrarily.  Negative addresses never reach the image: the lowered
-    code shrinks the mask through the runtime's negative-address checks
-    first.
+    outside it escalate to the interpreter, whose memory is a dict.
+    Negative addresses never reach the image: the lowered code shrinks
+    the mask through the runtime's negative-address checks first.
     """
 
     def __init__(self, img) -> None:
@@ -497,45 +276,6 @@ class _NpMem:
             cells = row.nonzero()[0]
             snapshots.append(dict(zip(cells.tolist(), row[cells].tolist())))
         return snapshots
-
-
-class _PyMem:
-    """Per-lane sparse dict memories (python backend): exact semantics.
-
-    Initial cells are stored raw — like :class:`~repro.semantics.state.Memory`,
-    only *writes* byte-mask, so a caller-provided out-of-range initial
-    value reads back unmasked.
-    """
-
-    def __init__(self, cells: List[Dict[int, int]]) -> None:
-        self.cells = cells
-
-    @classmethod
-    def from_batch(cls, batch: ScenarioBatch) -> "_PyMem":
-        return cls(batch.lanes_memory(range(batch.n)))
-
-    @classmethod
-    def from_dict(cls, cells: Mapping[int, int], n: int) -> "_PyMem":
-        return cls([dict(cells) for _ in range(n)])
-
-    def read(self, m, addr, clip):
-        out = []
-        ops = _PY_OPS
-        for i, d in enumerate(self.cells):
-            if ops.mask_at(m, i):
-                out.append(d.get(ops.at(addr, i), 0))
-            else:
-                out.append(0)
-        return PyVec(out)
-
-    def write(self, m, addr, v):
-        ops = _PY_OPS
-        for i, d in enumerate(self.cells):
-            if ops.mask_at(m, i):
-                d[ops.at(addr, i)] = ops.at(v, i) & BYTE_MASK
-
-    def snapshot_lanes(self, lanes) -> List[Dict[int, int]]:
-        return [{a: v for a, v in self.cells[lane].items() if v} for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +430,9 @@ class _Writer:
 
 
 #: Vector lowering templates.  Comparison operands are pre-normalized
-#: to integers and logical operands to booleans, so the same template
-#: text runs on numpy arrays and :class:`PyVec`/:class:`PyMask` alike.
+#: to integers and logical operands to booleans, so a template never
+#: does arithmetic on a boolean array (numpy's ``+`` on two of them is
+#: ``or``, and its ``-`` raises).
 #: Module-level and mutable on purpose: miscompile-detection tests
 #: monkeypatch an entry to plant a wrong lowering and prove the
 #: differential gate catches it.
@@ -1252,7 +993,7 @@ class _VectorLowerer:
             self.w.emit("try:")
             self.w.indent += 1
             self.w.emit(
-                "_FUSED[%d].run(M, _rt, %s, (%s))"
+                "_FUSED[%d].run(_rt, %s, (%s))"
                 % (len(self.fused) - 1, mv, regs)
             )
             self.w.indent -= 1
@@ -1541,8 +1282,6 @@ def _gather(vec, lanes) -> list:
     (a scalar broadcasts); masks come back truthy or falsy."""
     if HAVE_NUMPY and isinstance(vec, _np.ndarray):
         return vec[lanes].tolist()
-    if isinstance(vec, (PyVec, PyMask)):
-        return [vec.v[lane] for lane in lanes]
     if isinstance(vec, (list, tuple)):
         return [int(vec[lane]) for lane in lanes]
     return [int(vec)] * len(lanes)
@@ -1564,20 +1303,32 @@ class BatchResult:
     ``("raise", type name, message, exception)`` — so differential
     comparison is a tuple equality per lane.  It reads every requested
     lane with one gather per register, output, step and memory vector.
+
+    A ``numpy`` result holds the kernel's arrays and memory image; an
+    ``interp`` result (a batch run lane by lane on the interpreter)
+    holds list columns and one final memory per lane.
     """
 
     n: int
+    #: ``numpy`` or ``interp``
     backend: str
     max_steps: int
     errors: List[Optional[Tuple[str, str]]]
     registers: Dict[str, Any]
     steps: Any
-    _ops: Any
+    #: ``(values, mask)`` per ``output`` the run made
     _outputs: List[Tuple[Any, Any]]
+    #: an :class:`_NpMem`, or each lane's final memory
     _mem: Any
 
     def ok(self, lane: int) -> bool:
         return self.errors[lane] is None
+
+    def _lanes_memory(self, index) -> List[Dict[int, int]]:
+        """Each indexed lane's nonzero final cells."""
+        if isinstance(self._mem, list):
+            return [self._mem[lane] for lane in index]
+        return self._mem.snapshot_lanes(index)
 
     def _lanes_outputs(self, index) -> List[Tuple[int, ...]]:
         """Each indexed lane's outputs, in emission order."""
@@ -1588,7 +1339,7 @@ class BatchResult:
         """The outcome of each of ``lanes``, in order."""
         index = _index(lanes)
         outputs = self._lanes_outputs(index)
-        memories = self._mem.snapshot_lanes(index)
+        memories = self._lanes_memory(index)
         steps = _gather(self.steps, index)
         regs = [(name, _gather(vec, index)) for name, vec in self.registers.items()]
         outcomes = []
@@ -1625,12 +1376,7 @@ def _np_vec(value, n: int):
 
 
 def _lanes_outputs_differ(a: "BatchResult", b: "BatchResult"):
-    if (
-        HAVE_NUMPY
-        and a._ops is _NP_OPS
-        and b._ops is _NP_OPS
-        and len(a._outputs) == len(b._outputs)
-    ):
+    if a.backend == b.backend == "numpy" and len(a._outputs) == len(b._outputs):
         diff = _np.zeros(a.n, dtype=bool)
         for (va, ma), (vb, mb) in zip(a._outputs, b._outputs):
             ma_, mb_ = _np_bool(ma, a.n), _np_bool(mb, b.n)
@@ -1645,11 +1391,7 @@ def _lanes_outputs_differ(a: "BatchResult", b: "BatchResult"):
 
 def _lanes_memory_differ(a: "BatchResult", b: "BatchResult"):
     mem_a, mem_b = a._mem, b._mem
-    if (
-        HAVE_NUMPY
-        and isinstance(mem_a, _NpMem)
-        and isinstance(mem_b, _NpMem)
-    ):
+    if isinstance(mem_a, _NpMem) and isinstance(mem_b, _NpMem):
         wa, wb = mem_a.img.shape[1], mem_b.img.shape[1]
         if wa == wb and mem_a.img.tobytes() == mem_b.img.tobytes():
             # Agreement is the overwhelmingly common case; a memcmp
@@ -1665,17 +1407,14 @@ def _lanes_memory_differ(a: "BatchResult", b: "BatchResult"):
             diff |= mem_b.img[:, w:].any(axis=1)
         return diff
     index = _index(range(a.n))
-    return [
-        x != y
-        for x, y in zip(mem_a.snapshot_lanes(index), mem_b.snapshot_lanes(index))
-    ]
+    return [x != y for x, y in zip(a._lanes_memory(index), b._lanes_memory(index))]
 
 
 def lanes_disagree(a: "BatchResult", b: "BatchResult"):
     """Per-lane booleans: do two batch runs observably disagree?
 
     Compares live outputs and final memories columnar (a handful of
-    array ops on the numpy backend) — the wide equivalent of the
+    array ops when both ran on numpy lanes) — the wide equivalent of the
     scalar verifier's ``outputs``/``memory`` checks.  Errors are *not*
     compared here; callers scan ``errors`` directly because error
     lanes carry scalar-engine exception payloads, not results.
@@ -1711,11 +1450,15 @@ def _np_eligible(inputs: Mapping[str, Any], memory) -> bool:
         if isinstance(value, int):
             if abs(value) > _GUARD:
                 return False
-        elif not (HAVE_NUMPY and isinstance(value, _np.ndarray)):
+        elif not isinstance(value, _np.ndarray):
             for item in value:
                 if abs(int(item)) > _GUARD:
                     return False
     return True
+
+
+#: An interpreted error lane's placeholder result (never reported).
+_NO_RESULT = ExecutionResult((), {}, {}, 0)
 
 
 class VectorizedDescription:
@@ -1733,6 +1476,8 @@ class VectorizedDescription:
         self._description = description
         self._max_steps = max_steps
         self._program = compile_vectorized(description)
+        #: built on the first batch the numpy lanes cannot run
+        self._interpreter: Optional[Interpreter] = None
 
     @property
     def description(self) -> ast.Description:
@@ -1775,50 +1520,85 @@ class VectorizedDescription:
                         break
         if _np_eligible(inputs, memory):
             try:
-                return self._run_backend(_NP_OPS, inputs, memory, n)
+                return self._run_lanes(inputs, memory, n)
             except _Escalate:
-                obs.inc("repro_vector_fallback_total")
-        return self._run_backend(_PY_OPS, inputs, memory, n)
+                pass
+        return self._interpret(inputs, memory, n)
 
-    def _run_backend(self, ops, inputs, memory, n: int) -> BatchResult:
-        if ops is _NP_OPS:
-            vec_inputs = {
-                name: (
-                    _np.full(n, value, dtype=_np.int64)
-                    if isinstance(value, int)
-                    else _np.asarray(value, dtype=_np.int64)
-                )
-                for name, value in inputs.items()
-            }
-            if isinstance(memory, ScenarioBatch):
-                mem = _NpMem.from_batch(memory)
-            else:
-                mem = _NpMem.from_dict(memory or {}, n)
+    def _run_lanes(self, inputs, memory, n: int) -> BatchResult:
+        """Run the kernel on numpy lanes; raises :class:`_Escalate`."""
+        vec_inputs = {
+            name: (
+                _np.full(n, value, dtype=_np.int64)
+                if isinstance(value, int)
+                else _np.asarray(value, dtype=_np.int64)
+            )
+            for name, value in inputs.items()
+        }
+        if isinstance(memory, ScenarioBatch):
+            mem = _NpMem.from_batch(memory)
         else:
-            vec_inputs = {
-                name: (
-                    PyVec([value] * n)
-                    if isinstance(value, int)
-                    else PyVec([int(v) for v in value])
-                )
-                for name, value in inputs.items()
-            }
-            if isinstance(memory, ScenarioBatch):
-                mem = _PyMem.from_batch(memory)
-            else:
-                mem = _PyMem.from_dict(memory or {}, n)
-        runtime = _Runtime(ops, n, self._max_steps, mem, self._description.name)
-        registers = self._program.fn(ops, runtime, vec_inputs)
+            mem = _NpMem.from_dict(memory or {}, n)
+        runtime = _Runtime(_NP_OPS, n, self._max_steps, mem, self._description.name)
+        registers = self._program.fn(_NP_OPS, runtime, vec_inputs)
         return BatchResult(
             n=n,
-            backend=ops.name,
+            backend="numpy",
             max_steps=self._max_steps,
             errors=runtime.errors,
             registers=registers,
             steps=self._max_steps - runtime.budget,
-            _ops=ops,
             _outputs=runtime.outputs,
             _mem=runtime.mem,
+        )
+
+    def _interpret(self, inputs, memory, n: int) -> BatchResult:
+        """Run the batch lane by lane on the interpreter.
+
+        Every batch the numpy lanes cannot run comes here, so it is
+        exact by construction: the interpreter is the reference
+        semantics.  An error lane records the exception the
+        interpreter raised, as a kernel lane records the one it would
+        have raised.
+        """
+        obs.inc("repro_vector_fallback_total")
+        if self._interpreter is None:
+            self._interpreter = Interpreter(
+                self._description, max_steps=self._max_steps
+            )
+        if isinstance(memory, ScenarioBatch):
+            memories = memory.lanes_memory(range(n))
+        else:
+            memories = [memory] * n
+        errors: List[Optional[Tuple[str, str]]] = []
+        results: List[ExecutionResult] = []
+        for lane_inputs, lane_memory in zip(lanes_inputs(inputs, range(n)), memories):
+            try:
+                results.append(self._interpreter.run(lane_inputs, lane_memory))
+                errors.append(None)
+            except (SemanticError, ValueError, _LoopExit) as error:
+                results.append(_NO_RESULT)
+                errors.append((type(error).__name__, str(error)))
+        width = max((len(result.outputs) for result in results), default=0)
+        names = next((r.registers for r, e in zip(results, errors) if e is None), {})
+        return BatchResult(
+            n=n,
+            backend="interp",
+            max_steps=self._max_steps,
+            errors=errors,
+            registers={
+                name: [result.registers.get(name, 0) for result in results]
+                for name in names
+            },
+            steps=[result.steps for result in results],
+            _outputs=[
+                (
+                    [r.outputs[k] if k < len(r.outputs) else 0 for r in results],
+                    [k < len(r.outputs) for r in results],
+                )
+                for k in range(width)
+            ],
+            _mem=[result.memory for result in results],
         )
 
 

@@ -660,12 +660,8 @@ class FusedPlan:
 
     # -- the closed-form run ---------------------------------------------
 
-    def run(self, M, rt, mv, regs) -> None:
-        if getattr(M, "name", None) != "numpy":
-            raise FuseBail()
-        img = getattr(rt.mem, "img", None)
-        if img is None:
-            raise FuseBail()
+    def run(self, rt, mv, regs) -> None:
+        img = rt.mem.img
         np = _np
         if not bool(mv.any()):
             return

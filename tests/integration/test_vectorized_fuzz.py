@@ -9,8 +9,8 @@ Three guarantees ride on the vectorized verifier:
   from the interpreter's — same first-failing trial, same message,
   same attached scenario — so a red verdict never depends on which
   engine produced it;
-* both hold on hosts without numpy, where every batch runs on the
-  pure-python backend over scalar scenario draws.
+* both hold on hosts without numpy, where every vectorized batch
+  runs lane by lane on the interpreter over scalar scenario draws.
 """
 
 import json
@@ -179,7 +179,8 @@ def test_planted_defect_survives_offset_sharding():
 
 
 # ---------------------------------------------------------------------------
-# the pure-python path, with numpy blocked in a child process
+# the numpy-less path, with numpy blocked in a child process: every
+# vectorized batch there runs on interpreter lanes
 
 ROOT = Path(__file__).resolve().parents[2]
 

@@ -7,6 +7,7 @@ import pytest
 import repro.provenance as provenance
 from repro import api
 from repro.analysis import RunConfig
+from repro.analysis.pool import shutdown_pool
 from repro.analysis.runner import run_batch
 from repro.provenance import STORE_FILENAME
 
@@ -187,6 +188,34 @@ class TestWhatGetsStored:
         assert cold.cache_hits == 0
         assert warm.cache_hits == len(NAMES)
         assert modulo_cache(cold) == modulo_cache(warm)
+
+
+class TestPooledTraceHandOff:
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        # Workers fork with an empty replay memo and never outlive the test.
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
+    def test_cold_pooled_batch_replays_each_entry_once(self, tmp_path):
+        # Each job ships the trace its replay built, so the parent
+        # stores it without replaying the entry a second time.
+        cold = api.batch(
+            config=RunConfig(trials=60, jobs=2, cache_dir=tmp_path), metrics=True
+        )
+        replays = sum(
+            sample["count"]
+            for sample in cold.metrics["histograms"]
+            if sample["name"] == "repro_phase_seconds"
+            and sample["labels"].get("phase") == "replay"
+        )
+        assert replays == len(cold.results) == 20
+        warm = run_batch(config=RunConfig(trials=60, jobs=1, cache_dir=tmp_path))
+        assert warm.cache_hits == len(warm.results) == 20
+        replayed = api.replay(cache_dir=tmp_path)
+        assert replayed.ok
+        assert {entry.origin for entry in replayed.entries} == {"stored"}
 
 
 class TestStoreLifetime:

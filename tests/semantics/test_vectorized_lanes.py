@@ -4,17 +4,20 @@ The batch kernel advances every lane through the same instruction
 stream under a mask; these tests pin the mask behaviour down where it
 is easiest to get wrong: one lane exiting while others keep running,
 every lane running a different iteration count, the step budget
-expiring in only *some* lanes, and the degenerate one-lane batch.
+expiring in only *some* lanes, and the degenerate one-lane batch.  A
+batch the lanes cannot hold runs on the interpreter instead.
 """
 
 import pytest
 
+from repro import obs
 from repro.isdl import parse_description
 from repro.semantics import (
     Interpreter,
     StepLimitExceeded,
     VectorizedDescription,
 )
+from repro.semantics.engine import ExecutionEngine, _observe
 
 COUNTER = parse_description(
     """
@@ -248,6 +251,81 @@ class TestFusedLoops:
         got = batch_outcomes(result)
         assert got == scalar_reference(ADVANCING_SCAN, lanes, memory)
         assert [outcome[1] for outcome in got] == [(1, 8), (4, 5), (8, 1), (8, 0)]
+
+
+# ---------------------------------------------------------------------------
+# batches the numpy lanes cannot run
+
+#: squares an unmasked register, writes it at ``a`` and reads ``b``.
+SQUARE_STORE = parse_description(
+    """
+    t.op := begin
+        ** S **
+            x: integer, a<31:0>, b<31:0>
+        ** P **
+            t.execute() := begin
+                input (x, a, b);
+                x <- x * x;
+                Mb[ a ] <- x;
+                output (x, Mb[ b ]);
+            end
+    end
+    """
+)
+
+#: (inputs, initial memory) of batches that leave the numpy lanes: with
+#: numpy the first two escalate mid-run, and the lanes refuse the other
+#: three before it.
+FALLBACK_BATCHES = {
+    "square past 2**61": (
+        {"x": [3, 2**31 + 1, 5], "a": [10, 11, 12], "b": [10, 11, 12]},
+        {},
+    ),
+    "write at 70000": (
+        {"x": [1, 2, 3], "a": [10, 70_000, 20], "b": [70_000] * 3},
+        {},
+    ),
+    "memory key 70000": (
+        {"x": [1, 2], "a": [10, 11], "b": [70_000, 12]},
+        {70_000: 9},
+    ),
+    "initial byte 300": (
+        {"x": [1, 2], "a": [10, 11], "b": [12, 10]},
+        {12: 300},
+    ),
+    "input 2**62": (
+        {"x": [2**62, 4], "a": [10, 11], "b": [10, 11]},
+        {},
+    ),
+}
+
+
+class TestInterpreterFallback:
+    @pytest.mark.parametrize(
+        "inputs, memory", FALLBACK_BATCHES.values(), ids=list(FALLBACK_BATCHES)
+    )
+    def test_batch_runs_on_the_interpreter(self, inputs, memory):
+        n = len(inputs["x"])
+        with obs.collecting() as registry:
+            result = VectorizedDescription(SQUARE_STORE).run_batch(
+                inputs, memory, n=n
+            )
+        assert (
+            obs.counter_value(registry.snapshot(), "repro_vector_fallback_total")
+            == 1
+        )
+        reference = Interpreter(SQUARE_STORE)
+        lanes = [
+            {name: column[lane] for name, column in inputs.items()}
+            for lane in range(n)
+        ]
+        assert [outcome[:3] for outcome in result.lane_outcomes(range(n))] == [
+            _observe(reference, lane, memory)[:3] for lane in lanes
+        ]
+        gated = ExecutionEngine(name="vectorized", gate="always").executor(
+            SQUARE_STORE
+        )
+        assert gated.run_batch(inputs, memory, n=n).n == n
 
 
 # ---------------------------------------------------------------------------
