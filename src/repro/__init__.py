@@ -18,6 +18,12 @@ Construction, 1982), as a Python library:
   bindings (§6), with the constraint-satisfaction rewriting rules and
   optimizations.
 
+The typed facade (:mod:`repro.api`) and the most used names of
+:mod:`repro.analysis`, :mod:`repro.constraints` and :mod:`repro.isdl`
+are re-exported here, each imported the first time it is read
+(:mod:`repro.exports`): ``import repro`` loads nothing else, so a
+command loads only the code it runs.
+
 Quick start::
 
     from repro.analyses import scasb_rigel
@@ -32,61 +38,32 @@ Quick start::
     print(asm.listing())
 """
 
-from . import constraints, obs
-from .analysis import (
-    AnalysisInfo,
-    AnalysisOutcome,
-    AnalysisSession,
-    Binding,
-    BindingLibrary,
-    MatchFailure,
-    RunConfig,
-    VerificationFailure,
-    verify_binding,
-)
-from .constraints import (
-    ComplexConstraint,
-    LanguageFact,
-    OffsetConstraint,
-    RangeConstraint,
-    UnsupportedConstraintError,
-    ValueConstraint,
-)
-from .isdl import format_description, parse_description
-
-# The typed facade re-imports from .analysis, so it must come after the
-# imports above (it is the top of the dependency tower, not the bottom).
-from . import api
-from .api import analyze, batch, replay, stats, trace, verify
+from .exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "api",
-    "constraints",
-    "obs",
-    "AnalysisInfo",
-    "AnalysisOutcome",
-    "AnalysisSession",
-    "Binding",
-    "BindingLibrary",
-    "MatchFailure",
-    "RunConfig",
-    "VerificationFailure",
-    "analyze",
-    "batch",
-    "replay",
-    "stats",
-    "trace",
-    "verify",
-    "verify_binding",
-    "ComplexConstraint",
-    "LanguageFact",
-    "OffsetConstraint",
-    "RangeConstraint",
-    "UnsupportedConstraintError",
-    "ValueConstraint",
-    "format_description",
-    "parse_description",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".": ("api", "constraints", "obs"),
+    ".analysis": (
+        "AnalysisInfo",
+        "AnalysisOutcome",
+        "AnalysisSession",
+        "Binding",
+        "BindingLibrary",
+        "MatchFailure",
+        "RunConfig",
+        "VerificationFailure",
+        "verify_binding",
+    ),
+    ".api": ("analyze", "batch", "replay", "stats", "trace", "verify"),
+    ".constraints": (
+        "ComplexConstraint",
+        "LanguageFact",
+        "OffsetConstraint",
+        "RangeConstraint",
+        "UnsupportedConstraintError",
+        "ValueConstraint",
+    ),
+    ".isdl": ("format_description", "parse_description"),
+})
+__all__.append("__version__")

@@ -13,7 +13,7 @@ verifies, and wraps everything — including the structured two-sided
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..analysis import (
     AnalysisInfo,
@@ -21,13 +21,14 @@ from ..analysis import (
     AnalysisSession,
     MatchFailure,
     RunConfig,
-    verify_binding,
 )
 from ..constraints import LanguageFact, UnsupportedConstraintError
 from ..isdl import ast
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import ScenarioSpec
 from ..transform import TransformError
+
+if TYPE_CHECKING:
+    from ..semantics.engine import ExecutionEngine
 
 
 def run_analysis(
@@ -65,12 +66,10 @@ def run_analysis(
         )
     verification = None
     if verify and scenario is not None:
+        from ..analysis.verify import verify_binding
+
         verification = verify_binding(
-            binding,
-            scenario,
-            config=RunConfig(
-                trials=trials, engine=ExecutionEngine.resolve(engine)
-            ),
+            binding, scenario, config=RunConfig(trials=trials, engine=engine)
         )
     return AnalysisOutcome(
         machine=info.machine,

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Optional, Dict, Tuple
+from typing import TYPE_CHECKING, Optional, Dict, Tuple
 
 from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
-from ..analysis.verify import VerificationFailure, VerificationReport
 from ..languages import listops
 from ..machines.b4800 import descriptions as b4800
 from ..semantics.engine import ExecutionEngine
 from .common import run_analysis
+
+if TYPE_CHECKING:
+    from ..analysis.verify import VerificationReport
 
 INFO = AnalysisInfo(
     machine="Burroughs B4800",
@@ -83,6 +85,8 @@ def verify_list_binding(
     engine: Optional[ExecutionEngine] = None,
 ) -> VerificationReport:
     """Differential testing on randomized linked lists."""
+    from ..analysis.verify import VerificationFailure, VerificationReport
+
     resolved = ExecutionEngine.resolve(engine)
     operator_interp = resolved.executor(binding.final_operator)
     instruction_interp = resolved.executor(binding.augmented_instruction)

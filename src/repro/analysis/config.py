@@ -18,9 +18,14 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from ..semantics.engine import ExecutionEngine
+if TYPE_CHECKING:
+    from ..semantics.engine import ExecutionEngine
+
+
+class UnknownAnalysisError(ValueError):
+    """A requested analysis name is not in the catalog."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,8 @@ class RunConfig:
 
     def resolve_engine(self, gate: Optional[str] = None) -> ExecutionEngine:
         """The concrete engine this plan runs on."""
+        from ..semantics.engine import ExecutionEngine
+
         return ExecutionEngine.resolve(self.engine, gate)
 
     def replace(self, **changes: object) -> "RunConfig":

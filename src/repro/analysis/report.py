@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import UnsupportedConstraintError
 from ..isdl import format_description
 from ..provenance import AnalysisTrace
 from .binding import Binding
 from .matcher import MatchFailure
-from .verify import VerificationReport
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 
 def canonical_report_json(payload: Mapping[str, object]) -> str:

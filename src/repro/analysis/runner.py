@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..semantics.engine import DEFAULT_ENGINE
-from .config import RunConfig
+from .config import RunConfig, UnknownAnalysisError
 from .report import canonical_report_json
 
 #: trials per verification shard; fixed (never derived from the worker
@@ -76,10 +76,6 @@ RUN_SHARDS = 64
 
 #: JSON report schema identifier.
 SCHEMA = "repro.batch/1"
-
-
-class UnknownAnalysisError(ValueError):
-    """A requested analysis name is not in the catalog."""
 
 
 @dataclass(frozen=True)
@@ -464,6 +460,21 @@ def _run_job(job: BatchJob) -> List[Dict[str, object]]:
     return records
 
 
+def load_batch_stack() -> None:
+    """Import everything a cold batch runs.
+
+    That is the catalog's analysis modules, the verifier with its lint
+    gate, and the vectorized engine with numpy; a warm batch needs only
+    the first, so the rest load with the first job.  A process about to
+    fork pool workers calls this first, so the workers inherit the
+    modules instead of each importing them, and so does ``repro serve``
+    before it answers, so that its first request does not import them.
+    """
+    from .. import analyses  # noqa: F401 - the catalog
+    from ..semantics import vectorized  # noqa: F401 - numpy loads with it
+    from . import verify  # noqa: F401 - the lint gate loads with it
+
+
 def _aggregate(
     entries: Sequence[CatalogEntry],
     jobs: Sequence[BatchJob],
@@ -601,7 +612,7 @@ def _record_verdicts(
     reads only the verdict, and ``repro replay`` follows the reference
     to re-check the derivation later.
     """
-    from ..provenance import STORE_SCHEMA, analysis_trace_digest, strip_durations
+    from ..provenance import STORE_SCHEMA
 
     for result in results:
         if result.cached or not result.ok or result.name not in keys:
@@ -613,10 +624,9 @@ def _record_verdicts(
         }
         trace = traces.get(result.name)
         if trace is not None:
-            payload["trace"] = store.put_object(
-                strip_durations(trace.to_dict())
-            )
-            payload["trace_digest"] = analysis_trace_digest(trace)
+            stored = trace.to_stored_dict()
+            payload["trace"] = store.put_object(stored)
+            payload["trace_digest"] = stored["digest"]
         store.record_verdict(keys[result.name], payload)
 
 
@@ -656,6 +666,7 @@ def _run_pool(
     """
     from .pool import get_pool
 
+    load_batch_stack()  # before the pool forks its workers
     manager = get_pool()
     pool = manager.acquire(workers)
     # A persistent pool's workers may have forked before this run's

@@ -28,14 +28,13 @@ from ..semantics.engine import (
     EngineMismatchError,
     ExecutionEngine,
 )
-from ..semantics.randomgen import Scenario, ScenarioSpec, ScenarioStream
-from ..semantics.vectorized import lanes_disagree
+from ..semantics.randomgen import (
+    Scenario,
+    ScenarioSpec,
+    ScenarioStream,
+    load_numpy,
+)
 from .config import RunConfig
-
-try:  # pragma: no cover - numpy is optional
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 #: historical default plan of this entry point: 200 trials (the batch
 #: runner's default is 120 — the difference predates RunConfig and is
@@ -202,10 +201,11 @@ def differential_trial(
 
 def _clip_column(column, lo: int, hi: int):
     """Columnar :func:`_clip_to_ranges` for one batch input vector."""
-    if _np is not None and isinstance(column, _np.ndarray):
+    np = load_numpy()
+    if np is not None and isinstance(column, np.ndarray):
         # minimum/maximum instead of clip: same result, no per-call
         # scalar-promotion bookkeeping on the hot path.
-        return _np.minimum(_np.maximum(column, lo), hi)
+        return np.minimum(np.maximum(column, lo), hi)
     return [max(lo, min(hi, int(value))) for value in column]
 
 
@@ -306,6 +306,8 @@ def verify_binding(
         lane that raised or disagreed), or None when the window is
         clean; the clean windows' trials count as verified.
         """
+        from ..semantics.vectorized import lanes_disagree
+
         batch = stream.draw_windows(executed)
         columns = dict(batch.inputs)
         for operand, lo, hi in ranges:

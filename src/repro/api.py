@@ -21,8 +21,11 @@ answers.
 
 Run plans are :class:`~repro.analysis.config.RunConfig` values — the
 one parameter surface shared with the engine room.  Name errors raise
-:class:`~repro.analysis.runner.UnknownAnalysisError` (a ``ValueError``)
+:class:`~repro.analysis.config.UnknownAnalysisError` (a ``ValueError``)
 with the same message the CLI prints before exiting 2.
+
+Importing the facade loads only that config: each function imports the
+runner, the report or the prover when it is first called.
 """
 
 from __future__ import annotations
@@ -32,18 +35,14 @@ import dataclasses
 import importlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import obs
-from .analysis.config import RunConfig
-from .analysis.report import AnalysisOutcome, full_report
-from .analysis.runner import (
-    BatchReport,
-    JobResult,
-    UnknownAnalysisError,
-    resolve_names,
-    run_batch,
-)
+from .analysis.config import RunConfig, UnknownAnalysisError
+
+if TYPE_CHECKING:
+    from .analysis.report import AnalysisOutcome
+    from .analysis.runner import BatchReport, JobResult
 
 __all__ = [
     "AnalyzeResult",
@@ -71,6 +70,8 @@ __all__ = [
 
 def _module_for(name: str):
     """The analysis module behind ``name`` (validated via the catalog)."""
+    from .analysis.runner import resolve_names
+
     try:
         resolve_names([name])
     except UnknownAnalysisError:
@@ -109,6 +110,8 @@ class AnalyzeResult:
     @property
     def report(self) -> str:
         """The full human-readable report (what ``repro analyze`` prints)."""
+        from .analysis.report import full_report
+
         return full_report(self.outcome)
 
 
@@ -162,6 +165,8 @@ def verify(
     reports the trials that actually ran).  A store at ``cache_dir``
     answers a repeat.
     """
+    from .analysis.runner import run_batch
+
     _module_for(name)
     config = RunConfig(
         engine=engine, trials=trials, seed=seed, verify=True,
@@ -312,6 +317,8 @@ def batch(
     registry keeps collecting) and attaches it to the report; without
     it the report carries no metrics block.
     """
+    from .analysis.runner import run_batch
+
     collect = metrics and not obs.enabled()
     with obs.collecting() if collect else contextlib.nullcontext():
         report = run_batch(names=names, config=config)
@@ -411,6 +418,7 @@ def replay(
     descriptions, so any drift since recording surfaces as a failed
     entry — this is the drift gate behind ``repro replay``.
     """
+    from .analysis.runner import resolve_names
     from .provenance import TraceStore, replay_analysis, trace_for
     from .transform import ReplayDivergenceError, TransformError
 
@@ -491,6 +499,7 @@ def stats(
     spec-coverage gauges (``repro_machine_coverage``) behind the CI
     coverage gate.
     """
+    from .analysis.runner import run_batch
     from .lint import lint_coverage
 
     with obs.collecting() as registry:

@@ -55,7 +55,9 @@ class AnalysisTrace:
     operator: SessionTrace
     instruction_trace: SessionTrace
 
-    def to_dict(self) -> Dict[str, object]:
+    def _fields(self) -> Dict[str, object]:
+        """Every field, wall times included; the digest reads them
+        stripped."""
         return {
             "schema": ANALYSIS_TRACE_SCHEMA,
             "machine": self.machine,
@@ -65,8 +67,19 @@ class AnalysisTrace:
             "operator_name": self.operator_name,
             "operator": self.operator.to_dict(),
             "instruction_trace": self.instruction_trace.to_dict(),
-            "digest": self.digest(),
         }
+
+    def to_dict(self) -> Dict[str, object]:
+        payload = self._fields()
+        payload["digest"] = _digest(strip_durations(payload))
+        return payload
+
+    def to_stored_dict(self) -> Dict[str, object]:
+        """``strip_durations(self.to_dict())``, the form the provenance
+        store keeps, with each session's dict built and digested once."""
+        payload = strip_durations(self._fields())
+        payload["digest"] = _digest(payload)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "AnalysisTrace":
@@ -102,14 +115,9 @@ class AnalysisTrace:
 
 def analysis_trace_digest(trace: AnalysisTrace) -> str:
     """Hex SHA-256 identifying the derivation (wall times excluded)."""
-    payload = {
-        "schema": ANALYSIS_TRACE_SCHEMA,
-        "machine": trace.machine,
-        "instruction": trace.instruction,
-        "language": trace.language,
-        "operation": trace.operation,
-        "operator_name": trace.operator_name,
-        "operator": strip_durations(trace.operator.to_dict()),
-        "instruction_trace": strip_durations(trace.instruction_trace.to_dict()),
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _digest(strip_durations(trace._fields()))
+
+
+def _digest(fields: Dict[str, object]) -> str:
+    """Hex SHA-256 of a trace's stripped fields."""
+    return hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()

@@ -7,88 +7,53 @@ generation used by the differential-testing verifier in
 :mod:`repro.analysis.verify`.
 """
 
-from .engine import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    EngineMismatchError,
-    ExecutionEngine,
-    UnknownEngineError,
-)
-from .interpreter import (
-    AssertionFailed,
-    ExecutionResult,
-    Interpreter,
-    StepLimitExceeded,
-    run_description,
-)
-from .randomgen import (
-    OperandSpec,
-    Scenario,
-    ScenarioSpec,
-    ScenarioStream,
-    derive_seed,
-    generate_scenario,
-    generate_scenario_at,
-    generate_scenarios,
-)
-from .state import Memory
-from .vectorized import (
-    BatchResult,
-    ScenarioBatch,
-    VectorizedDescription,
-    clear_vector_cache,
-    compile_vectorized,
-    run_vectorized,
-    vector_cache_stats,
-)
-from .values import (
-    BOOLEAN_OPS,
-    BYTE_BITS,
-    BYTE_MASK,
-    apply_binop,
-    apply_unop,
-    as_flag,
-    fits,
-    truncate,
-    truth,
-    width_bits,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "AssertionFailed",
-    "DEFAULT_ENGINE",
-    "ENGINE_NAMES",
-    "EngineMismatchError",
-    "ExecutionEngine",
-    "ExecutionResult",
-    "Interpreter",
-    "StepLimitExceeded",
-    "UnknownEngineError",
-    "run_description",
-    "BatchResult",
-    "ScenarioBatch",
-    "VectorizedDescription",
-    "clear_vector_cache",
-    "compile_vectorized",
-    "run_vectorized",
-    "vector_cache_stats",
-    "OperandSpec",
-    "Scenario",
-    "ScenarioSpec",
-    "ScenarioStream",
-    "derive_seed",
-    "generate_scenario",
-    "generate_scenario_at",
-    "generate_scenarios",
-    "Memory",
-    "BOOLEAN_OPS",
-    "BYTE_BITS",
-    "BYTE_MASK",
-    "apply_binop",
-    "apply_unop",
-    "as_flag",
-    "fits",
-    "truncate",
-    "truth",
-    "width_bits",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".engine": (
+        "DEFAULT_ENGINE",
+        "ENGINE_NAMES",
+        "EngineMismatchError",
+        "ExecutionEngine",
+        "UnknownEngineError",
+    ),
+    ".interpreter": (
+        "AssertionFailed",
+        "ExecutionResult",
+        "Interpreter",
+        "StepLimitExceeded",
+        "run_description",
+    ),
+    ".vectorized": (
+        "BatchResult",
+        "VectorizedDescription",
+        "clear_vector_cache",
+        "compile_vectorized",
+        "run_vectorized",
+        "vector_cache_stats",
+    ),
+    ".randomgen": (
+        "OperandSpec",
+        "Scenario",
+        "ScenarioBatch",
+        "ScenarioSpec",
+        "ScenarioStream",
+        "derive_seed",
+        "generate_scenario",
+        "generate_scenario_at",
+        "generate_scenarios",
+    ),
+    ".state": ("Memory",),
+    ".values": (
+        "BOOLEAN_OPS",
+        "BYTE_BITS",
+        "BYTE_MASK",
+        "apply_binop",
+        "apply_unop",
+        "as_flag",
+        "fits",
+        "truncate",
+        "truth",
+        "width_bits",
+    ),
+})

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
@@ -44,7 +44,9 @@ from .interpreter import (
     StepLimitExceeded,
 )
 from .randomgen import ScenarioBatch, derive_seed
-from .vectorized import BatchResult, VectorizedDescription, lanes_inputs
+
+if TYPE_CHECKING:
+    from .vectorized import BatchResult, VectorizedDescription
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
 ENGINE_NAMES: Tuple[str, ...] = ("interp", "vectorized")
@@ -130,12 +132,10 @@ class _GatedExecutor:
     """
 
     def __init__(
-        self,
-        description: ast.Description,
-        max_steps: int,
-        gate: str,
+        self, primary: "VectorizedDescription", max_steps: int, gate: str
     ):
-        self._primary = VectorizedDescription(description, max_steps=max_steps)
+        description = primary.description
+        self._primary = primary
         self._reference = Interpreter(description, max_steps=max_steps)
         self._name = description.name
         self._gate = gate
@@ -192,11 +192,17 @@ class _GatedExecutor:
         :meth:`BatchResult.lane_outcomes`, which has the shape
         ``_observe`` produces, their inputs and initial memories beside
         them — then re-executed by the interpreter and compared lane by
-        lane, window by window.
+        lane, window by window.  A batch the kernel did not run
+        (``backend == "interp"``) already ran lane by lane on the
+        interpreter, so none of its lanes is re-run.
         """
+        from .vectorized import lanes_inputs  # loaded with the primary
+
         base = self._trial
         result = self._primary.run_batch(inputs, memory, n=n)
         self._trial = base + result.n
+        if result.backend == "interp":
+            return result
         windows = (
             memory.windows if isinstance(memory, ScenarioBatch) else ()
         ) or (result.n,)
@@ -314,10 +320,14 @@ class ExecutionEngine:
         """
         if self.name == "interp":
             inner = Interpreter(description, max_steps=max_steps)
-        elif self.gate == "off":
-            inner = VectorizedDescription(description, max_steps=max_steps)
         else:
-            inner = _GatedExecutor(description, max_steps=max_steps, gate=self.gate)
+            # The vectorized engine (and numpy with it) loads with the
+            # first executor that runs on it.
+            from .vectorized import VectorizedDescription
+
+            inner = VectorizedDescription(description, max_steps=max_steps)
+            if self.gate != "off":
+                inner = _GatedExecutor(inner, max_steps=max_steps, gate=self.gate)
         if obs.enabled():
             return _InstrumentedExecutor(inner, self.name)
         return inner

@@ -18,12 +18,24 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised indirectly everywhere
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-less fallback
-    _np = None
+
+@lru_cache(maxsize=None)
+def load_numpy():
+    """numpy, imported on the first call; None when it cannot be imported.
+
+    Only the columnar draw and the lanes that run on it use numpy, so
+    it loads with the first batch drawn, not with this module: every
+    analysis module imports this one, and a command that draws nothing
+    (``repro list``, a warm ``repro batch``) never pays for numpy.
+    """
+    try:
+        import numpy
+    except Exception:  # pragma: no cover - numpy-less fallback
+        return None
+    return numpy
 
 
 def derive_seed(root: int, *labels: object) -> int:
@@ -346,8 +358,9 @@ class ScenarioBatch:
         arena window, read with one gather per operand."""
         if self.image is None:
             return [dict(self.scenarios[lane].memory) for lane in lanes]
-        index = _np.asarray(lanes, dtype=_np.intp)
-        span = _np.arange(self.spec.max_length + 4)
+        np = load_numpy()
+        index = np.asarray(lanes, dtype=np.intp)
+        span = np.arange(self.spec.max_length + 4)
         memories: List[Dict[int, int]] = [{} for _ in range(len(index))]
         for base_vec in self.bases.values():
             bases = base_vec[index]
@@ -369,7 +382,7 @@ def _batch_draw(
     spec: ScenarioSpec, stream_key: int, offset: int, n: int
 ) -> Tuple[Dict[str, object], object, Dict[str, object]]:
     """Columnar draw of ``n`` lanes (numpy path of ``draw_batch``)."""
-    np = _np
+    np = load_numpy()
     plan = _layout(spec)
     u64 = np.uint64
     idx = np.arange(offset, offset + n, dtype=np.uint64)
@@ -551,7 +564,7 @@ class ScenarioStream:
         between the two paths.  Falls back to scalar draws when numpy
         is unavailable.
         """
-        if _np is None:
+        if load_numpy() is None:
             scenarios = self.window(offset, count)
             names = scenarios[0].inputs if scenarios else ()
             return ScenarioBatch(
@@ -591,7 +604,7 @@ def _stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
         image = None
         bases: Dict[str, object] = {}
     else:
-        np = _np
+        np = load_numpy()
         inputs = {
             name: np.concatenate([batch.inputs[name] for batch in batches])
             for name in first.inputs

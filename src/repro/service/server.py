@@ -43,6 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .. import obs
 from ..analysis.config import RunConfig
+from ..analysis.runner import load_batch_stack
 from ..operations import ROUTES, http_inputs, invoke, wire
 
 #: Largest accepted request body, in bytes.
@@ -140,9 +141,11 @@ class AnalysisService:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and install the lifetime metrics registry."""
+        """Load the batch stack, bind the socket and install the
+        lifetime metrics registry."""
         if self._server is not None:
             raise RuntimeError("service already started")
+        load_batch_stack()
         self._collect = obs.collecting()
         self._registry = self._collect.__enter__()
         self._executor = concurrent.futures.ThreadPoolExecutor(

@@ -1,5 +1,6 @@
 """Incremental batch mode: hits skip work, reports stay byte-identical."""
 
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,59 @@ class TestWhatGetsStored:
         # The trace is its own object; the verdict names it by digest.
         trace = AnalysisTrace.from_dict(store.get_object(artifact["trace"]))
         assert artifact["trace_digest"] == trace.digest()
+
+    def test_each_fresh_trace_is_digested_once(self, tmp_path, monkeypatch):
+        from repro.provenance import schema
+
+        digested = []
+        digest = schema._digest
+
+        def counting(fields):
+            digested.append(fields)
+            return digest(fields)
+
+        monkeypatch.setattr(schema, "_digest", counting)
+        config = RunConfig(trials=20, cache_dir=tmp_path)
+        cold = run_batch(names=NAMES, config=config)
+        assert cold.ok
+        assert len(digested) == len(NAMES)  # one per fresh entry
+        run_batch(names=NAMES, config=config)
+        assert len(digested) == len(NAMES)  # a store hit digests nothing
+
+    def test_stored_trace_is_the_canonical_json_of_the_old_build(self, tmp_path):
+        from repro.analysis.runner import _replay
+        from repro.provenance import (
+            ANALYSIS_TRACE_SCHEMA,
+            TraceStore,
+            canonical_json,
+            strip_durations,
+        )
+
+        run_batch(names=["movc3_pc2"], config=RunConfig(trials=20, cache_dir=tmp_path))
+        _, outcome = _replay("movc3_pc2")
+        trace = outcome.trace
+        # Built as the store built it before: the digest over the
+        # stripped session dicts, then strip_durations(to_dict()).
+        fields = {
+            "schema": ANALYSIS_TRACE_SCHEMA,
+            "machine": trace.machine,
+            "instruction": trace.instruction,
+            "language": trace.language,
+            "operation": trace.operation,
+            "operator_name": trace.operator_name,
+            "operator": strip_durations(trace.operator.to_dict()),
+            "instruction_trace": strip_durations(trace.instruction_trace.to_dict()),
+        }
+        digest = hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()
+        text = canonical_json({**fields, "digest": digest})
+        store = TraceStore(tmp_path)
+        try:
+            artifact = store.latest_for("movc3_pc2")
+            assert artifact["trace_digest"] == digest
+            assert artifact["trace"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert canonical_json(store.get_object(artifact["trace"])) == text
+        finally:
+            store.close()
 
     def test_pool_mode_populates_the_same_cache(self, tmp_path):
         root = tmp_path / "cache"

@@ -325,7 +325,14 @@ class TestInterpreterFallback:
         gated = ExecutionEngine(name="vectorized", gate="always").executor(
             SQUARE_STORE
         )
-        assert gated.run_batch(inputs, memory, n=n).n == n
+        with obs.collecting() as registry:
+            assert gated.run_batch(inputs, memory, n=n).n == n
+        # The batch already ran lane by lane on the interpreter, so the
+        # gate has nothing to cross-check.
+        assert (
+            obs.counter_value(registry.snapshot(), "repro_engine_gate_checks_total")
+            == 0
+        )
 
 
 # ---------------------------------------------------------------------------
