@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import (
     clc_pascal,
@@ -184,20 +184,6 @@ REGISTRY: Tuple[AnalysisSpec, ...] = (
     ),
 )
 
-_BY_NAME: Dict[str, AnalysisSpec] = {spec.name: spec for spec in REGISTRY}
-
-
-def spec_for(name: str) -> AnalysisSpec:
-    """The registry entry for one analysis name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown analysis {name!r}; known: "
-            + ", ".join(spec.name for spec in REGISTRY)
-        )
-
-
 def codegen_specs(machine: str, extensions: bool = False) -> Tuple[AnalysisSpec, ...]:
     """Registry entries whose bindings join ``machine``'s library."""
     return tuple(
@@ -229,11 +215,6 @@ FAILURES = _group("failures")
 
 #: beyond Table 2: the §7 extension and the §1 B4800 example.
 EXTENSIONS = _group("extensions")
-
-
-def run_table2(verify: bool = True, trials: int = 120):
-    """Run every Table 2 analysis; returns the outcomes in order."""
-    return [module.run(verify=verify, trials=trials) for module in TABLE2]
 
 
 def run_failures():

@@ -68,12 +68,6 @@ class Binding:
         operand = self.field_map[field]
         return self.operand_map[operand]
 
-    def operand_for_field(self, field: str) -> str:
-        """Operator operand name for the IR operand ``field``."""
-        if self.field_map is None:
-            raise ValueError(f"binding for {self.operator} has no field map")
-        return self.field_map[field]
-
     def field_for_operand(self, operand: str) -> Optional[str]:
         """IR field bound to an operator or instruction operand name."""
         if self.field_map is None:

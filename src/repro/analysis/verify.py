@@ -185,7 +185,8 @@ def differential_trial(
     must agree on outputs and final memory — otherwise the same
     :class:`VerificationFailure` the sampling loop would raise is
     raised here.  Used by the symbolic prover to validate and replay
-    counterexamples engine-independently.
+    counterexamples engine-independently, and on the interpreter by
+    :func:`verify_binding` to decide a window the kernel flagged.
     """
     resolved = ExecutionEngine.resolve(engine, gate)
     _run_trial(
@@ -233,12 +234,18 @@ def verify_binding(
 
     ``engine`` selects the execution substrate (``vectorized`` by
     default, which runs the whole trial window as one wide batch per
-    description; ``interp`` is the reference semantics) and ``gate``
-    how often vectorized lanes are cross-checked against the
-    interpreter — ``always`` unless the caller says otherwise, so any
-    miscompilation surfaces as
-    :class:`~repro.semantics.engine.EngineMismatchError` before a
-    verdict is reported.
+    description; ``interp`` is the reference semantics, run one trial
+    at a time) and ``gate`` how often vectorized lanes are
+    cross-checked against the interpreter — ``always`` unless the
+    caller says otherwise, so any miscompilation the gate samples
+    surfaces as :class:`~repro.semantics.engine.EngineMismatchError`
+    before a verdict is reported.  A failure never rests on the kernel
+    alone: a window's first flagged lane (one that raised or disagreed)
+    is replayed as a scalar trial on the interpreter, and the exception
+    that replay raises — the one the ``interp`` engine raises on that
+    scenario — is the window's outcome.  A replay that passes means the
+    kernel was wrong on a lane the gate did not check, and is reported
+    as an :class:`~repro.semantics.engine.EngineMismatchError`.
 
     Returns a :class:`VerificationReport`.  Raises
     :class:`VerificationFailure` on the first disagreement, and
@@ -251,12 +258,12 @@ def verify_binding(
     and returns a list with one outcome per window: the report, or the
     exception, that a call with that ``offset`` and ``trials=count``
     gives.  ``trials`` and ``offset`` are then unused.  The binding is
-    linted, proved and given executors once, and on the vectorized
-    engine all windows run as one batch per description, each window
-    numbering its gate trials from 0.  Among several windows, one with
-    a flagged lane is verified again on its own, which replays that
-    lane exactly as its one-window call does; so is every window when
-    the wide run fails a gate check or the prover refutes the binding.
+    linted, proved and given executors once; a refuting proof's
+    counterexample is replayed once, and its failure is every window's
+    outcome.  On the vectorized engine all windows run as one batch
+    per description, each window numbering its gate trials from 0.
+    Only a gate mismatch in that batch, which does not say whose lane
+    it was, sends each window to a call of its own.
     """
     cfg = config if config is not None else _VERIFY_DEFAULTS
     gate_diagnostics = lint_binding(binding)
@@ -265,111 +272,41 @@ def verify_binding(
     resolved = cfg.resolve_engine(gate)
     operator_desc = binding.final_operator
     instruction_desc = binding.augmented_instruction
-    operator_interp = resolved.executor(operator_desc)
-    instruction_interp = resolved.executor(instruction_desc)
-    operand_map = binding.operand_map
+    operator_exec = resolved.executor(operator_desc)
+    instruction_exec = resolved.executor(instruction_desc)
     ranges = _operand_ranges(binding)
     plan = ((offset, cfg.trials),) if windows is None else tuple(windows)
 
     collect = obs.enabled()
-    rename = operand_map.get
+    rename = binding.operand_map.get
 
-    def trial(scenario: Scenario) -> None:
-        """One scalar differential trial; raises on any disagreement."""
-        _run_trial(
-            operator_interp,
-            instruction_interp,
-            rename,
-            ranges,
-            scenario,
-            resolved.name,
-            collect,
-        )
-
-    def alone(window_offset: int, count: int):
-        """The outcome of verifying one window in a call of its own."""
+    def captured(run, *args, **kwargs):
+        """``run``'s result, or the exception it raised."""
         try:
-            return verify_binding(
-                binding,
-                spec,
-                cfg.replace(trials=count),
-                offset=window_offset,
-                gate=gate,
-            )
+            return run(*args, **kwargs)
         except Exception as error:  # noqa: BLE001 - the window's outcome
             return error
 
-    def batch_trials(stream: ScenarioStream, executed) -> list:
-        """Every window as one wide batch per description.
-
-        Returns, per window, the position of its first flagged lane (a
-        lane that raised or disagreed), or None when the window is
-        clean; the clean windows' trials count as verified.
-        """
-        from ..semantics.vectorized import lanes_disagree
-
-        batch = stream.draw_windows(executed)
-        columns = dict(batch.inputs)
-        for operand, lo, hi in ranges:
-            if operand in columns:
-                columns[operand] = _clip_column(columns[operand], lo, hi)
-        mapped_columns = {rename(k, k): v for k, v in columns.items()}
-        result_op = operator_interp.run_batch(columns, batch, n=batch.n)
-        result_in = instruction_interp.run_batch(
-            mapped_columns, batch, n=batch.n
-        )
-        disagree = lanes_disagree(result_op, result_in)
-        clean = (
-            result_op.errors.count(None) == batch.n
-            and result_in.errors.count(None) == batch.n
-            and not (
-                bool(disagree.any())
-                if hasattr(disagree, "any")
-                else any(disagree)
-            )
-        )
-        problems = []
-        start = 0
-        for _, count in executed:
-            problem = None
-            if not clean:
-                for lane in range(start, start + count):
-                    if (
-                        result_op.errors[lane] is not None
-                        or result_in.errors[lane] is not None
-                        or disagree[lane]
-                    ):
-                        problem = lane - start
-                        break
-            problems.append(problem)
-            start += count
-        verified = sum(
-            count
-            for (_, count), problem in zip(executed, problems)
-            if problem is None
-        )
-        if collect and verified:
-            obs.inc("repro_verify_trials_total", verified, engine=resolved.name)
-        return problems
+    def replay(scenario: Scenario):
+        """None, or the exception one trial on the interpreter raises."""
+        return captured(differential_trial, binding, scenario, engine="interp")
 
     prove_verdict: Optional[str] = None
     proved = False
+    refutation = None
     if cfg.symbolic:
         from ..symbolic import PROVED, REFUTED, prove_binding
 
         prove_report = prove_binding(binding, spec, seed=cfg.seed)
         prove_verdict = prove_report.verdict
         if prove_verdict == REFUTED:
-            if windows is not None:
-                return [alone(*window) for window in plan]
-            # The prover extracted a concrete model; replaying it
-            # through this engine's own trial path raises the exact
-            # failure the sampling loop would have produced (the
-            # message is built from inputs and outputs only, never
+            # The prover extracted a concrete model; its replay raises
+            # the exact failure the sampling loop would have produced
+            # (the message is built from inputs and outputs only, never
             # engine internals).  If the replay unexpectedly passes,
             # the model was spurious — distrust the verdict and run
             # the full sweep below.
-            trial(prove_report.counterexample)
+            refutation = replay(prove_report.counterexample)
         elif prove_verdict == PROVED:
             proved = True
     executed = tuple(
@@ -389,70 +326,111 @@ def verify_binding(
             executed_trials=None if ran == count else ran,
         )
 
-    def one_batch(stream: ScenarioStream) -> VerificationReport:
-        """The only window as one wide batch per description."""
-        ((window_offset, ran),) = executed
-        (problem,) = batch_trials(stream, executed)
-        if problem is not None:
-            if collect and problem:
-                obs.inc(
-                    "repro_verify_trials_total", problem, engine=resolved.name
-                )
-            # A flagged lane is replayed as a scalar trial of the *same*
-            # executor, so the failure a caller sees — exception type,
-            # message, trial index, attached scenario — is
-            # byte-identical to what the scalar loop would have
-            # produced.
-            trial(stream.window(window_offset + problem, 1)[0])
-            raise EngineMismatchError(
-                "vectorized engine flagged trial %d of %r vs %r but the "
-                "scalar replay passed"
-                % (
-                    window_offset + problem,
-                    operator_desc.name,
-                    instruction_desc.name,
-                )
-            )
-        return report(window_offset, plan[0][1], ran)
-
     def scalar(stream, window_offset, count, ran) -> VerificationReport:
         for scenario in stream.window(window_offset, ran):
-            trial(scenario)
+            _run_trial(
+                operator_exec,
+                instruction_exec,
+                rename,
+                ranges,
+                scenario,
+                resolved.name,
+                collect,
+            )
         return report(window_offset, count, ran)
 
-    def captured(run, *args):
-        try:
-            return run(*args)
-        except Exception as error:  # noqa: BLE001 - the window's outcome
-            return error
+    def flagged(stream: ScenarioStream, index: int) -> Exception:
+        """The outcome of a window whose trial ``index`` the kernel flagged."""
+        failure = replay(stream.window(index, 1)[0])
+        if failure is not None:
+            return failure
+        return EngineMismatchError(
+            "vectorized engine flagged trial %d of %r vs %r but the "
+            "interpreter replay passed"
+            % (index, operator_desc.name, instruction_desc.name)
+        )
 
-    with obs.span("verify", engine=resolved.name):
-        stream = ScenarioStream(spec, cfg.seed)
-        if resolved.name != "vectorized":
-            outcomes = [
-                captured(scalar, stream, o, count, ran)
-                for (o, count), (_, ran) in zip(plan, executed)
-            ]
-        elif len(plan) == 1:
-            outcomes = [captured(one_batch, stream)]
-        else:
-            try:
-                problems = batch_trials(stream, executed)
-            except EngineMismatchError:
-                problems = [0] * len(plan)
-            # None marks a window left to a call of its own.
-            outcomes = [
-                None if problem is not None else report(o, count, ran)
-                for (o, count), (_, ran), problem in zip(
-                    plan, executed, problems
-                )
-            ]
+    def wide(stream: ScenarioStream) -> list:
+        """Every window as one wide batch per description.
+
+        A window is clean when none of its lanes raised or disagreed;
+        its trials count as verified.  Otherwise its trials before the
+        first flagged lane count, and that lane's replay decides it.
+        """
+        from ..semantics.vectorized import lanes_disagree
+
+        batch = stream.draw_windows(executed)
+        columns = dict(batch.inputs)
+        for operand, lo, hi in ranges:
+            if operand in columns:
+                columns[operand] = _clip_column(columns[operand], lo, hi)
+        mapped_columns = {rename(k, k): v for k, v in columns.items()}
+        result_op = operator_exec.run_batch(columns, batch, n=batch.n)
+        result_in = instruction_exec.run_batch(mapped_columns, batch, n=batch.n)
+        disagree = lanes_disagree(result_op, result_in)
+        clean = (
+            result_op.errors.count(None) == batch.n
+            and result_in.errors.count(None) == batch.n
+            and not (
+                bool(disagree.any())
+                if hasattr(disagree, "any")
+                else any(disagree)
+            )
+        )
+        outcomes, verified, start = [], 0, 0
+        for (window_offset, count), (_, ran) in zip(plan, executed):
+            problem = None
+            if not clean:
+                for lane in range(start, start + ran):
+                    if (
+                        result_op.errors[lane] is not None
+                        or result_in.errors[lane] is not None
+                        or disagree[lane]
+                    ):
+                        problem = lane - start
+                        break
+            if problem is None:
+                verified += ran
+                outcomes.append(report(window_offset, count, ran))
+            else:
+                verified += problem
+                outcomes.append(flagged(stream, window_offset + problem))
+            start += ran
+        if collect and verified:
+            obs.inc("repro_verify_trials_total", verified, engine=resolved.name)
+        return outcomes
+
+    if refutation is not None:
+        outcomes = [refutation] * len(plan)
+    else:
+        with obs.span("verify", engine=resolved.name):
+            stream = ScenarioStream(spec, cfg.seed)
+            if resolved.name != "vectorized":
+                outcomes = [
+                    captured(scalar, stream, o, count, ran)
+                    for (o, count), (_, ran) in zip(plan, executed)
+                ]
+            else:
+                try:
+                    outcomes = wide(stream)
+                except EngineMismatchError as mismatch:
+                    # None leaves a window to a call of its own.
+                    outcomes = [mismatch] if len(plan) == 1 else [None] * len(plan)
     if windows is None:
         (outcome,) = outcomes
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
     return [
-        alone(*window) if outcome is None else outcome
-        for window, outcome in zip(plan, outcomes)
+        captured(
+            verify_binding,
+            binding,
+            spec,
+            cfg.replace(trials=count),
+            offset=window_offset,
+            gate=gate,
+        )
+        if outcome is None
+        else outcome
+        for (window_offset, count), outcome in zip(plan, outcomes)
     ]

@@ -18,7 +18,7 @@ import dataclasses
 from functools import lru_cache
 
 from ..analysis import Binding, BindingLibrary
-from ..analyses import AnalysisSpec, REGISTRY, codegen_specs
+from ..analyses import AnalysisSpec, codegen_specs
 from ..lint import LintGateError, lint_binding
 from ..provenance import analysis_trace_digest
 
@@ -44,11 +44,6 @@ def _binding_from(spec: AnalysisSpec) -> Binding:
     if diagnostics:
         raise LintGateError(tuple(diagnostics))
     return binding
-
-
-def known_machines():
-    """Machine names the registry ships bindings for, sorted."""
-    return sorted({spec.codegen for spec in REGISTRY if spec.codegen})
 
 
 @lru_cache(maxsize=None)

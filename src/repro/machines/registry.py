@@ -70,7 +70,3 @@ def all_specs() -> Tuple[MachineSpec, ...]:
     """Every registered spec, paper sample first."""
     return tuple(machine_spec(key) for key in ALL_KEYS)
 
-
-def paper_specs() -> Tuple[MachineSpec, ...]:
-    """The Table 1 sample, in row order."""
-    return tuple(machine_spec(key) for key in PAPER_KEYS)

@@ -16,9 +16,11 @@ Two engines execute descriptions:
 
 The vectorized engine exists purely for speed, so its correctness is
 enforced structurally rather than trusted: a **differential gate**
-re-runs a seeded sample of its lanes under the interpreter.  Tests run
-with the gate ``always`` on; the batch runner samples; benchmarks turn
-it ``off`` to measure raw engine speed.  A lane's gate index is its
+re-runs a seeded sample of the lanes its kernel ran on its own
+interpreter, the one that also runs every batch the numpy lanes
+cannot (a batch that ran there is never re-run).  Tests run with the
+gate ``always`` on; the batch runner samples; benchmarks turn it
+``off`` to measure raw engine speed.  A lane's gate index is its
 position in its window — a batch of :class:`ScenarioBatch` windows
 (the batch runner's 64-trial shards) numbers each window's lanes from
 0 — and the sampled gate checks index 0 plus roughly one index in
@@ -31,22 +33,14 @@ verification verdict can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
-from ..isdl.errors import SemanticError
-from .interpreter import (
-    AssertionFailed,
-    ExecutionResult,
-    Interpreter,
-    StepLimitExceeded,
-)
-from .randomgen import ScenarioBatch, derive_seed
+from .interpreter import ExecutionResult, Interpreter
 
 if TYPE_CHECKING:
-    from .vectorized import BatchResult, VectorizedDescription
+    from .vectorized import BatchResult
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
 ENGINE_NAMES: Tuple[str, ...] = ("interp", "vectorized")
@@ -80,147 +74,6 @@ class EngineMismatchError(Exception):
     This is a *bug in the vectorizer*, never in the description under
     test — it aborts the run instead of producing a verdict.
     """
-
-
-def _observe(executor, inputs, memory):
-    """Run an executor and normalize the observable outcome.
-
-    Semantic exceptions are part of the observable behaviour (a
-    description that exceeds its step budget must do so under both
-    engines, with the same message), so they are captured and compared
-    rather than propagated.
-    """
-    try:
-        return ("result", executor.run(inputs, memory))
-    except (StepLimitExceeded, AssertionFailed, SemanticError, ValueError) as error:
-        return ("raise", type(error).__name__, str(error), error)
-
-
-@lru_cache(maxsize=1 << 14)
-def _sampled_positions(name: str, first: int, count: int) -> Tuple[int, ...]:
-    """Positions ``p < count`` whose gate index ``first + p`` is sampled.
-
-    Index 0 is always sampled; any other index when its seeded draw
-    lands on the period.  Memoized, so the SHA-256 draws of a window
-    shape are paid once, not once per lane of every batch.
-    """
-    return tuple(
-        position
-        for position in range(count)
-        if first + position == 0
-        or derive_seed(GATE_SEED, "gate", name, first + position) % GATE_PERIOD
-        == 0
-    )
-
-
-class _GatedExecutor:
-    """The vectorized engine wrapped with interpreter cross-checks.
-
-    A lane's gate index is its position in its window, counted from
-    the executor's next trial: a :class:`ScenarioBatch` holding several
-    windows (the batch runner's 64-trial shards) numbers each of them
-    from there, any other batch is one window, and scalar runs count on
-    one at a time.  A window of a stacked batch therefore gets the
-    indices a fresh executor running it alone would give it, and every
-    window checks its own first lane.  A trial is checked when the
-    gate is ``always``, or — under ``sampled`` — when its index is 0 or
-    its seeded draw lands on the sampling period.  The draw derives
-    from the description name and the index, so which trials are
-    checked is deterministic across processes, independent of sharding
-    order, and identical whether trials arrive one at a time or as a
-    batch.
-    """
-
-    def __init__(
-        self, primary: "VectorizedDescription", max_steps: int, gate: str
-    ):
-        description = primary.description
-        self._primary = primary
-        self._reference = Interpreter(description, max_steps=max_steps)
-        self._name = description.name
-        self._gate = gate
-        self._trial = 0
-
-    @property
-    def description(self) -> ast.Description:
-        return self._primary.description
-
-    def _checked(self, first: int, count: int) -> Sequence[int]:
-        """Positions of a window of ``count`` trials from ``first`` to check."""
-        if self._gate == "always":
-            return range(count)
-        return _sampled_positions(self._name, first, count)
-
-    def _compare(self, got, inputs, memory, index: int) -> None:
-        """Cross-check one observation against the interpreter."""
-        obs.inc("repro_engine_gate_checks_total")
-        want = _observe(self._reference, inputs, memory)
-        if got[:3] != want[:3]:
-            raise EngineMismatchError(
-                "vectorized engine disagrees with the interpreter on %r "
-                "(trial %d, inputs %r): vectorized %r vs interpreted %r"
-                % (self._name, index, dict(inputs), got[:3], want[:3])
-            )
-
-    def run(
-        self,
-        inputs: Mapping[str, int],
-        memory: Optional[Mapping[int, int]] = None,
-    ) -> ExecutionResult:
-        index = self._trial
-        self._trial += 1
-        if not self._checked(index, 1):
-            return self._primary.run(inputs, memory)
-        got = _observe(self._primary, inputs, memory)
-        self._compare(got, inputs, memory, index)
-        if got[0] == "raise":
-            raise got[3]
-        return got[1]
-
-    def run_batch(
-        self,
-        inputs: Mapping[str, Any],
-        memory=None,
-        n: Optional[int] = None,
-    ) -> BatchResult:
-        """Run a whole batch, cross-checking the sampled lanes.
-
-        Each window of a :class:`ScenarioBatch` ``memory`` (any other
-        batch is one window) numbers its lanes from the executor's next
-        trial.  The gated lanes of every window are collected first and
-        read in one columnar step — their outcomes via
-        :meth:`BatchResult.lane_outcomes`, which has the shape
-        ``_observe`` produces, their inputs and initial memories beside
-        them — then re-executed by the interpreter and compared lane by
-        lane, window by window.  A batch the kernel did not run
-        (``backend == "interp"``) already ran lane by lane on the
-        interpreter, so none of its lanes is re-run.
-        """
-        from .vectorized import lanes_inputs  # loaded with the primary
-
-        base = self._trial
-        result = self._primary.run_batch(inputs, memory, n=n)
-        self._trial = base + result.n
-        if result.backend == "interp":
-            return result
-        windows = (
-            memory.windows if isinstance(memory, ScenarioBatch) else ()
-        ) or (result.n,)
-        lanes, indices, start = [], [], 0
-        for count in windows:
-            for position in self._checked(base, count):
-                lanes.append(start + position)
-                indices.append(base + position)
-            start += count
-        if isinstance(memory, ScenarioBatch):
-            memories = memory.lanes_memory(lanes)
-        else:
-            memories = [memory] * len(lanes)
-        for got, lane_inputs, lane_memory, index in zip(
-            result.lane_outcomes(lanes), lanes_inputs(inputs, lanes), memories, indices
-        ):
-            self._compare(got, lane_inputs, lane_memory, index)
-        return result
 
 
 class _InstrumentedExecutor:
@@ -313,7 +166,7 @@ class ExecutionEngine:
         """An object with ``run(inputs, memory) -> ExecutionResult``.
 
         Reuse one executor for a whole trial stream: the vectorized
-        engine amortizes its (cached) lowering, and the gate numbers
+        engine amortizes its (cached) lowering, and its gate numbers
         trials per executor.  The ``vectorized`` executor additionally
         exposes ``run_batch(inputs, memory, n) -> BatchResult`` for the
         wide verification path.
@@ -325,9 +178,7 @@ class ExecutionEngine:
             # first executor that runs on it.
             from .vectorized import VectorizedDescription
 
-            inner = VectorizedDescription(description, max_steps=max_steps)
-            if self.gate != "off":
-                inner = _GatedExecutor(inner, max_steps=max_steps, gate=self.gate)
+            inner = VectorizedDescription(description, max_steps, self.gate)
         if obs.enabled():
             return _InstrumentedExecutor(inner, self.name)
         return inner

@@ -55,33 +55,6 @@ def derive_seed(root: int, *labels: object) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-class _SeedStream:
-    """Per-index seeds for one ``(root, *labels)`` prefix, amortized.
-
-    Produces exactly ``derive_seed(root, *labels, index)`` for every
-    index — SHA-256 consumes its input as a stream, so hashing the
-    constant prefix once and ``copy()``-ing the digest state per index
-    yields bit-identical digests while skipping the re-hash of the
-    prefix on the verification hot path.
-    """
-
-    __slots__ = ("_prefix",)
-
-    def __init__(self, root: int, *labels: object):
-        prefix = hashlib.sha256()
-        prefix.update(str(int(root)).encode("ascii"))
-        for label in labels:
-            prefix.update(b"\x00")
-            prefix.update(str(label).encode("utf-8"))
-        prefix.update(b"\x00")
-        self._prefix = prefix
-
-    def at(self, index: int) -> int:
-        digest = self._prefix.copy()
-        digest.update(str(index).encode("ascii"))
-        return int.from_bytes(digest.digest()[:8], "big")
-
-
 @dataclass(frozen=True)
 class OperandSpec:
     """How to draw one operand value.
@@ -625,21 +598,6 @@ def _stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
         scenarios=tuple(s for batch in batches for s in batch.scenarios),
         windows=tuple(batch.n for batch in batches),
     )
-
-
-def scenario_digest(scenario: Scenario) -> str:
-    """A stable hex digest of one drawn machine state.
-
-    Canonicalizes the input and memory mappings (sorted items, python
-    ints) so digests compare equal across the scalar and batch drawing
-    paths, across engines, and across ``--jobs`` splits.
-    """
-    digest = hashlib.sha256()
-    for name in sorted(scenario.inputs):
-        digest.update(f"i:{name}={int(scenario.inputs[name])};".encode())
-    for addr in sorted(scenario.memory):
-        digest.update(f"m:{int(addr)}={int(scenario.memory[addr])};".encode())
-    return digest.hexdigest()
 
 
 def generate_scenarios(

@@ -9,7 +9,7 @@ is stored back into such a register, not when memory is indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..isdl.errors import SemanticError
 from .values import BYTE_MASK
@@ -30,11 +30,6 @@ class Memory:
         if addr < 0:
             raise SemanticError(f"memory write at negative address {addr}")
         self.cells[addr] = value & BYTE_MASK
-
-    def load_bytes(self, addr: int, data: Iterable[int]) -> None:
-        """Bulk-initialize memory starting at ``addr``."""
-        for offset, value in enumerate(data):
-            self.write(addr + offset, value)
 
     def read_bytes(self, addr: int, count: int) -> Tuple[int, ...]:
         return tuple(self.read(addr + offset) for offset in range(count))

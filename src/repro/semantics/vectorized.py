@@ -28,15 +28,18 @@ cannot hold (:func:`_np_eligible`), and every batch on a host without
 numpy.
 
 Compiled kernels are cached content-keyed beside the parse memos
-(namespace ``vectorized``), and the engine facade
-(:mod:`repro.semantics.engine`) cross-checks sampled lanes against the
-interpreter, the reference semantics.  A scalar run is an N=1 batch.
+(namespace ``vectorized``).  The differential gate lives here too: a
+:class:`VectorizedDescription` re-runs a seeded sample of the lanes its
+kernel ran on that same interpreter (the modes and the sampling rule
+are documented in :mod:`repro.semantics.engine`).  A scalar run is an
+N=1 batch, so it is gated like any other.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
@@ -44,6 +47,7 @@ from ..isdl import ast
 from ..isdl.cache import CacheStats, TextMemo
 from ..isdl.digest import description_text
 from ..isdl.errors import SemanticError
+from .engine import GATE_PERIOD, GATE_SEED, EngineMismatchError
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
@@ -51,7 +55,7 @@ from .interpreter import (
     StepLimitExceeded,
     _LoopExit,
 )
-from .randomgen import ScenarioBatch
+from .randomgen import ScenarioBatch, derive_seed
 from .values import BYTE_MASK, width_bits
 from .vectorized_fuse import FuseBail, match_repeat as _match_fused
 
@@ -1298,8 +1302,8 @@ def lanes_inputs(inputs: Mapping[str, Any], lanes) -> List[Dict[str, int]]:
 class BatchResult:
     """Everything observable about one batch run, lane-addressable.
 
-    ``lane_outcomes`` normalizes lanes to the same shape the engine
-    facade's ``_observe`` uses — ``("result", ExecutionResult)`` or
+    ``lane_outcomes`` normalizes lanes to the same shape the gate's
+    ``_observe`` uses — ``("result", ExecutionResult)`` or
     ``("raise", type name, message, exception)`` — so differential
     comparison is a tuple equality per lane.  It reads every requested
     lane with one gather per register, output, step and memory vector.
@@ -1461,6 +1465,37 @@ def _np_eligible(inputs: Mapping[str, Any], memory) -> bool:
 _NO_RESULT = ExecutionResult((), {}, {}, 0)
 
 
+def _observe(executor, inputs, memory):
+    """Run an executor and normalize the observable outcome.
+
+    Semantic exceptions are part of the observable behaviour (a
+    description that exceeds its step budget must do so under both
+    engines, with the same message), so they are captured and compared
+    rather than propagated.
+    """
+    try:
+        return ("result", executor.run(inputs, memory))
+    except (SemanticError, ValueError) as error:
+        return ("raise", type(error).__name__, str(error), error)
+
+
+@lru_cache(maxsize=1 << 14)
+def _sampled_positions(name: str, first: int, count: int) -> Tuple[int, ...]:
+    """Positions ``p < count`` whose gate index ``first + p`` is sampled.
+
+    Index 0 is always sampled; any other index when its seeded draw
+    lands on the period.  Memoized, so the SHA-256 draws of a window
+    shape are paid once, not once per lane of every batch.
+    """
+    return tuple(
+        position
+        for position in range(count)
+        if first + position == 0
+        or derive_seed(GATE_SEED, "gate", name, first + position) % GATE_PERIOD
+        == 0
+    )
+
+
 class VectorizedDescription:
     """Executes one ISDL description on N machine states at once.
 
@@ -1468,15 +1503,36 @@ class VectorizedDescription:
     contract as :class:`Interpreter` — same results, same exceptions,
     same messages, same ``steps``.
     ``run_batch`` is the wide interface the verification pipeline uses.
+
+    ``gate`` (``always``, ``sampled`` or ``off``) sets how often a lane
+    the kernel ran is cross-checked against the interpreter.  A lane's
+    gate index is its position in its window, counted from the
+    executor's next trial: a :class:`ScenarioBatch` holding several
+    windows (the batch runner's 64-trial shards) numbers each of them
+    from there, any other batch is one window, and scalar runs count on
+    one at a time.  A window of a stacked batch therefore gets the
+    indices a fresh executor running it alone would give it, and every
+    window checks its own first lane.  A trial is checked when the
+    gate is ``always``, or — under ``sampled`` — when its index is 0 or
+    its seeded draw lands on the sampling period.  The draw derives
+    from the description name and the index, so which trials are
+    checked is deterministic across processes, independent of sharding
+    order, and identical whether trials arrive one at a time or as a
+    batch.
     """
 
     def __init__(
-        self, description: ast.Description, max_steps: int = DEFAULT_MAX_STEPS
+        self,
+        description: ast.Description,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        gate: str = "off",
     ):
         self._description = description
         self._max_steps = max_steps
+        self._gate = gate
+        self._trial = 0
         self._program = compile_vectorized(description)
-        #: built on the first batch the numpy lanes cannot run
+        #: built on the first gate check or interpreted batch
         self._interpreter: Optional[Interpreter] = None
 
     @property
@@ -1507,7 +1563,8 @@ class VectorizedDescription:
 
         With a :class:`ScenarioBatch` as ``memory``, lane ``i`` gets the
         batch's lane-``i`` arena — the zero-copy path used by
-        ``verify_binding``.
+        ``verify_binding``.  Under a gate, the sampled lanes of a batch
+        the kernel ran are re-run on the interpreter before it returns.
         """
         if n is None:
             if isinstance(memory, ScenarioBatch):
@@ -1518,12 +1575,69 @@ class VectorizedDescription:
                     if not isinstance(value, int):
                         n = len(value)
                         break
+        first = self._trial
+        self._trial += n
         if _np_eligible(inputs, memory):
             try:
-                return self._run_lanes(inputs, memory, n)
+                result = self._run_lanes(inputs, memory, n)
             except _Escalate:
                 pass
+            else:
+                if self._gate != "off":
+                    self._check(result, inputs, memory, first)
+                return result
         return self._interpret(inputs, memory, n)
+
+    def _reference(self) -> Interpreter:
+        """The interpreter, built on first use."""
+        if self._interpreter is None:
+            self._interpreter = Interpreter(
+                self._description, max_steps=self._max_steps
+            )
+        return self._interpreter
+
+    def _check(self, result: BatchResult, inputs, memory, first: int) -> None:
+        """Re-run the gated lanes of each window on the interpreter.
+
+        The gated lanes of every window are collected first and read in
+        one columnar step — their outcomes via
+        :meth:`BatchResult.lane_outcomes`, which has the shape
+        ``_observe`` produces, their inputs and initial memories beside
+        them — then compared lane by lane, window by window.
+        """
+        windows = (
+            memory.windows if isinstance(memory, ScenarioBatch) else ()
+        ) or (result.n,)
+        lanes, indices, start = [], [], 0
+        for count in windows:
+            positions = (
+                range(count)
+                if self._gate == "always"
+                else _sampled_positions(self._description.name, first, count)
+            )
+            for position in positions:
+                lanes.append(start + position)
+                indices.append(first + position)
+            start += count
+        if isinstance(memory, ScenarioBatch):
+            memories = memory.lanes_memory(lanes)
+        else:
+            memories = [memory] * len(lanes)
+        for got, lane_inputs, lane_memory, index in zip(
+            result.lane_outcomes(lanes), lanes_inputs(inputs, lanes), memories, indices
+        ):
+            self._compare(got, lane_inputs, lane_memory, index)
+
+    def _compare(self, got, inputs, memory, index: int) -> None:
+        """Cross-check one lane's outcome against the interpreter."""
+        obs.inc("repro_engine_gate_checks_total")
+        want = _observe(self._reference(), inputs, memory)
+        if got[:3] != want[:3]:
+            raise EngineMismatchError(
+                "vectorized engine disagrees with the interpreter on %r "
+                "(trial %d, inputs %r): vectorized %r vs interpreted %r"
+                % (self._description.name, index, dict(inputs), got[:3], want[:3])
+            )
 
     def _run_lanes(self, inputs, memory, n: int) -> BatchResult:
         """Run the kernel on numpy lanes; raises :class:`_Escalate`."""
@@ -1562,10 +1676,7 @@ class VectorizedDescription:
         have raised.
         """
         obs.inc("repro_vector_fallback_total")
-        if self._interpreter is None:
-            self._interpreter = Interpreter(
-                self._description, max_steps=self._max_steps
-            )
+        interpreter = self._reference()
         if isinstance(memory, ScenarioBatch):
             memories = memory.lanes_memory(range(n))
         else:
@@ -1574,7 +1685,7 @@ class VectorizedDescription:
         results: List[ExecutionResult] = []
         for lane_inputs, lane_memory in zip(lanes_inputs(inputs, range(n)), memories):
             try:
-                results.append(self._interpreter.run(lane_inputs, lane_memory))
+                results.append(interpreter.run(lane_inputs, lane_memory))
                 errors.append(None)
             except (SemanticError, ValueError, _LoopExit) as error:
                 results.append(_NO_RESULT)

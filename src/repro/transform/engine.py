@@ -512,9 +512,6 @@ class Session:
     def steps(self) -> int:
         return len(self.history)
 
-    def constraint_summary(self) -> List[str]:
-        return [constraint.describe() for constraint in self.constraints]
-
     def log(self) -> str:
         """Human-readable step log."""
         return format_trace_log(self.label, self.history)

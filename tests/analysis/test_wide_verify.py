@@ -7,9 +7,12 @@ tests pin what must not change when the windows share one batch:
 * the differential gate checks exactly the lanes a per-shard run
   checks — each window numbers its gate trials from 0;
 * every window gets the outcome a call of its own gives it, whether
-  its lanes disagree or the engine is miscompiled;
-* serial and pooled runs (pool jobs still carry one shard) produce the
-  same report bytes;
+  its lanes disagree or the engine is miscompiled; a flagged window
+  gets it from one replay of its first flagged lane on the
+  interpreter, not from a second verification, so a kernel bug the
+  gate did not sample is never reported as a binding failure;
+* serial and pooled runs (both run one job per entry, its shards as
+  windows of one call) produce the same report bytes;
 * the number of kernel runs falls to one per description per run of
   at most ``RUN_SHARDS`` shards.
 """
@@ -29,9 +32,8 @@ from repro.analysis.verify import (
     verify_binding,
 )
 from repro.semantics import ENGINE_NAMES, ScenarioStream, derive_seed
-from repro.semantics import engine as engine_module
-from repro.semantics.engine import GATE_PERIOD, GATE_SEED
-from repro.semantics.vectorized import HAVE_NUMPY
+from repro.semantics.engine import GATE_PERIOD, GATE_SEED, EngineMismatchError
+from repro.semantics.vectorized import HAVE_NUMPY, VectorizedDescription
 from tests.integration.test_vectorized_fuzz import planted_binding, planted_spec
 
 #: windows of the planted defect's stream: mixed sizes, some back to
@@ -59,13 +61,13 @@ def _sampled(name, count):
 def gate_log(monkeypatch):
     """Every interpreter cross-check: (description, gate index, memory)."""
     log = []
-    compare = engine_module._GatedExecutor._compare
+    compare = VectorizedDescription._compare
 
     def spy(self, got, inputs, memory, index):
-        log.append((self._name, index, tuple(sorted(memory.items()))))
+        log.append((self.description.name, index, tuple(sorted(memory.items()))))
         return compare(self, got, inputs, memory, index)
 
-    monkeypatch.setattr(engine_module._GatedExecutor, "_compare", spy)
+    monkeypatch.setattr(VectorizedDescription, "_compare", spy)
     return log
 
 
@@ -193,6 +195,58 @@ class TestWindowParity:
                 RunConfig(trials=64),
                 gate="sampled",
             )
+
+
+class TestFlaggedWindows:
+    def test_flagged_windows_are_replayed_not_verified_again(self):
+        # Each flagged window replays its first flagged lane on the
+        # interpreter: the windows' outcomes are the interpreter's, from
+        # one batch run per description.
+        with obs.collecting() as registry:
+            together = verify_binding(
+                planted_binding(),
+                planted_spec(),
+                RunConfig(),
+                windows=PLANTED_WINDOWS,
+                gate="sampled",
+            )
+            snapshot = registry.snapshot()
+        reference = verify_binding(
+            planted_binding(),
+            planted_spec(),
+            RunConfig(engine="interp"),
+            windows=PLANTED_WINDOWS,
+        )
+        assert [_outcome(result) for result in together] == [
+            _outcome(result) for result in reference
+        ]
+        counters = (
+            "repro_engine_batch_runs_total",
+            "repro_engine_lanes_total",
+            "repro_verify_trials_total",
+            "repro_verify_failures_total",
+        )
+        assert [obs.counter_value(snapshot, name) for name in counters] == [
+            2,
+            146,
+            8,
+            4,
+        ]
+
+
+class TestUngatedMiscompile:
+    @pytest.mark.parametrize(
+        "name, op, wrong", [("locc_rigel", "+", "-"), ("mvc_pascal", "=", "<>")]
+    )
+    def test_is_not_blamed_on_the_binding(self, plant_lowering, name, op, wrong):
+        # With the gate off no lane is cross-checked, so only the
+        # interpreter replay of the flagged lane can tell a kernel bug
+        # from a wrong binding.
+        plant_lowering(op, wrong)
+        runner_module._clear_replay_cache()
+        _, outcome = runner_module._replay(name)
+        with pytest.raises(EngineMismatchError, match="interpreter replay passed"):
+            verify_binding(outcome.binding, _module(name).SCENARIO, gate="off")
 
 
 def _planted_entry(monkeypatch, name):

@@ -93,8 +93,8 @@ def indexed_copy_desc():
 
 
 @pytest.fixture
-def planted_vector_bug(monkeypatch):
-    """Lower vector ``-`` as ``+`` — a deliberate lowering bug.
+def plant_lowering(monkeypatch):
+    """``plant(op, wrong)`` lowers vector ``op`` as ``wrong``.
 
     The kernel cache is cleared on both sides of the plant so no
     correct kernel survives into the broken world and no broken kernel
@@ -105,9 +105,18 @@ def planted_vector_bug(monkeypatch):
 
     if not vectorized.HAVE_NUMPY:
         pytest.skip("the kernel runs only on numpy lanes")
+
+    def plant(op, wrong):
+        vectorized.clear_vector_cache()
+        monkeypatch.setitem(
+            vectorized._VECTOR_BINOPS, op, vectorized._VECTOR_BINOPS[wrong]
+        )
+
+    yield plant
     vectorized.clear_vector_cache()
-    monkeypatch.setitem(
-        vectorized._VECTOR_BINOPS, "-", vectorized._VECTOR_BINOPS["+"]
-    )
-    yield
-    vectorized.clear_vector_cache()
+
+
+@pytest.fixture
+def planted_vector_bug(plant_lowering):
+    """Lower vector ``-`` as ``+`` — a deliberate lowering bug."""
+    plant_lowering("-", "+")

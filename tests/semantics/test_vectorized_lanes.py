@@ -17,7 +17,8 @@ from repro.semantics import (
     StepLimitExceeded,
     VectorizedDescription,
 )
-from repro.semantics.engine import ExecutionEngine, _observe
+from repro.semantics.engine import ExecutionEngine
+from repro.semantics.vectorized import _observe
 
 COUNTER = parse_description(
     """
@@ -333,6 +334,21 @@ class TestInterpreterFallback:
             obs.counter_value(registry.snapshot(), "repro_engine_gate_checks_total")
             == 0
         )
+
+    def test_scalar_run_on_the_interpreter_is_not_rechecked(self):
+        # A scalar run is an N=1 batch, gated on the batch path: one the
+        # lanes refuse runs on the interpreter and is not run again.
+        gated = ExecutionEngine(name="vectorized", gate="always").executor(
+            SQUARE_STORE
+        )
+        inputs = {"x": 2**62, "a": 10, "b": 10}
+        with obs.collecting() as registry:
+            result = gated.run(inputs)
+            snapshot = registry.snapshot()
+        assert result == Interpreter(SQUARE_STORE).run(inputs)
+        assert result.outputs == (2**124, 0)
+        assert obs.counter_value(snapshot, "repro_vector_fallback_total") == 1
+        assert obs.counter_value(snapshot, "repro_engine_gate_checks_total") == 0
 
 
 # ---------------------------------------------------------------------------
