@@ -33,15 +33,18 @@ def test_interpret_search(benchmark):
 
 
 def test_vectorized_single_lane_search(benchmark):
-    # Same workload as test_interpret_search as an N=1 vectorized run,
-    # the path every scalar caller of the default engine takes.
+    # Same workload as test_interpret_search as a one-lane kernel batch:
+    # the kernel's fixed cost per batch.  A scalar run on the default
+    # engine takes test_interpret_search's path.
     vectorized = VectorizedDescription(i8086.scasb())
     memory = {100 + i: (i * 7) % 251 for i in range(64)}
     inputs = {
         "rf": 1, "rfz": 0, "df": 0, "zf": 0,
         "di": 100, "cx": 64, "al": 250,
     }
-    result = benchmark(vectorized.run, inputs, memory)
+    columns = {name: [value] for name, value in inputs.items()}
+    batch = benchmark(vectorized.run_batch, columns, [memory], n=1)
+    result = batch.lane_raise_or_result(0)
     assert result.outputs[0] in (0, 1)
     reference = Interpreter(i8086.scasb()).run(inputs, memory)
     assert result.outputs == reference.outputs

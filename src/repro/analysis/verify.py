@@ -28,6 +28,7 @@ from ..semantics.engine import (
     EngineMismatchError,
     ExecutionEngine,
 )
+from ..semantics.interpreter import lanes_disagree
 from ..semantics.randomgen import (
     Scenario,
     ScenarioSpec,
@@ -107,48 +108,40 @@ def _operand_ranges(binding) -> Tuple[Tuple[str, int, int], ...]:
     )
 
 
-def _clip_to_ranges(
-    inputs: Dict[str, int], ranges: Tuple[Tuple[str, int, int], ...]
-) -> Dict[str, int]:
+def _clip_to_constraints(inputs: Dict[str, int], binding) -> Dict[str, int]:
     """Clamp scenario inputs into the binding's operand ranges."""
     clipped = dict(inputs)
-    for operand, lo, hi in ranges:
+    for operand, lo, hi in _operand_ranges(binding):
         if operand in clipped:
-            value = clipped[operand]
-            clipped[operand] = max(lo, min(hi, value))
+            clipped[operand] = max(lo, min(hi, clipped[operand]))
     return clipped
 
 
-def _clip_to_constraints(inputs: Dict[str, int], binding) -> Dict[str, int]:
-    """One-shot clamp against a binding (see :func:`_clip_to_ranges`)."""
-    return _clip_to_ranges(inputs, _operand_ranges(binding))
+def differential_trial(binding, scenario: Scenario) -> None:
+    """Run one concrete machine state through both final descriptions.
 
-
-def _run_trial(
-    operator_interp,
-    instruction_interp,
-    rename,
-    ranges: Tuple[Tuple[str, int, int], ...],
-    scenario: Scenario,
-    engine_name: str,
-    collect: bool,
-) -> None:
-    """One scalar differential trial; raises on any disagreement.
-
-    The failure message is built from inputs and outputs only — never
-    from engine internals — so the identical scenario produces the
-    identical :class:`VerificationFailure` on every execution engine
-    (the property the symbolic prover's counterexample replay relies
-    on).
+    Inputs are clipped to the binding's operand ranges, renamed through
+    the operand map for the instruction side, and both descriptions
+    must agree on outputs and final memory — otherwise the same
+    :class:`VerificationFailure` :func:`verify_binding` reports for
+    that state is raised.  The trial runs on the interpreter, as every
+    single trial does, so a failure is the same whichever engine found
+    it.  The message is built from inputs and outputs only.  Used by
+    the symbolic prover to validate and replay counterexamples, and by
+    :func:`verify_binding` to decide a window whose batch flagged a
+    trial.
     """
-    if collect:
-        obs.inc("repro_verify_trials_total", engine=engine_name)
-    inputs = _clip_to_ranges(scenario.inputs, ranges)
-    mapped = {rename(k, k): v for k, v in inputs.items()}
-    result_op = operator_interp.run(inputs, scenario.memory)
-    result_in = instruction_interp.run(mapped, scenario.memory)
+    engine = ExecutionEngine("interp")
+    if obs.enabled():
+        obs.inc("repro_verify_trials_total", engine=engine.name)
+    inputs = _clip_to_constraints(scenario.inputs, binding)
+    mapped = {binding.operand_map.get(k, k): v for k, v in inputs.items()}
+    result_op = engine.executor(binding.final_operator).run(inputs, scenario.memory)
+    result_in = engine.executor(binding.augmented_instruction).run(
+        mapped, scenario.memory
+    )
     if result_op.outputs != result_in.outputs:
-        obs.inc("repro_verify_failures_total", engine=engine_name)
+        obs.inc("repro_verify_failures_total", engine=engine.name)
         raise VerificationFailure(
             f"outputs differ: operator {result_op.outputs} vs "
             f"instruction {result_in.outputs} on inputs {inputs}",
@@ -163,7 +156,7 @@ def _run_trial(
             for addr in set(result_op.memory) | set(result_in.memory)
             if result_op.memory.get(addr) != result_in.memory.get(addr)
         }
-        obs.inc("repro_verify_failures_total", engine=engine_name)
+        obs.inc("repro_verify_failures_total", engine=engine.name)
         raise VerificationFailure(
             f"final memories differ at {sorted(diff)[:8]} on inputs "
             f"{inputs}",
@@ -171,37 +164,8 @@ def _run_trial(
         )
 
 
-def differential_trial(
-    binding,
-    scenario: Scenario,
-    engine=None,
-    gate: Optional[str] = None,
-) -> None:
-    """Run one concrete machine state through both final descriptions.
-
-    The single-scenario form of :func:`verify_binding`'s trial loop:
-    inputs are clipped to the binding's operand ranges, renamed through
-    the operand map for the instruction side, and both descriptions
-    must agree on outputs and final memory — otherwise the same
-    :class:`VerificationFailure` the sampling loop would raise is
-    raised here.  Used by the symbolic prover to validate and replay
-    counterexamples engine-independently, and on the interpreter by
-    :func:`verify_binding` to decide a window the kernel flagged.
-    """
-    resolved = ExecutionEngine.resolve(engine, gate)
-    _run_trial(
-        resolved.executor(binding.final_operator),
-        resolved.executor(binding.augmented_instruction),
-        binding.operand_map.get,
-        _operand_ranges(binding),
-        scenario,
-        resolved.name,
-        obs.enabled(),
-    )
-
-
 def _clip_column(column, lo: int, hi: int):
-    """Columnar :func:`_clip_to_ranges` for one batch input vector."""
+    """Columnar :func:`_clip_to_constraints` for one batch input vector."""
     np = load_numpy()
     if np is not None and isinstance(column, np.ndarray):
         # minimum/maximum instead of clip: same result, no per-call
@@ -232,20 +196,20 @@ def verify_binding(
     whether it runs in shard 0 of 1 or shard 3 of 4 — see
     :class:`repro.semantics.randomgen.ScenarioStream`).
 
-    ``engine`` selects the execution substrate (``vectorized`` by
-    default, which runs the whole trial window as one wide batch per
-    description; ``interp`` is the reference semantics, run one trial
-    at a time) and ``gate`` how often vectorized lanes are
-    cross-checked against the interpreter — ``always`` unless the
+    Every window runs as one wide batch per description on either
+    engine.  ``engine`` selects what runs it (``vectorized`` by
+    default, the batch kernel; ``interp``, the reference semantics,
+    runs the batch lane by lane) and ``gate`` how often kernel lanes
+    are cross-checked against the interpreter — ``always`` unless the
     caller says otherwise, so any miscompilation the gate samples
     surfaces as :class:`~repro.semantics.engine.EngineMismatchError`
-    before a verdict is reported.  A failure never rests on the kernel
+    before a verdict is reported.  A failure never rests on a batch
     alone: a window's first flagged lane (one that raised or disagreed)
-    is replayed as a scalar trial on the interpreter, and the exception
-    that replay raises — the one the ``interp`` engine raises on that
-    scenario — is the window's outcome.  A replay that passes means the
-    kernel was wrong on a lane the gate did not check, and is reported
-    as an :class:`~repro.semantics.engine.EngineMismatchError`.
+    is replayed as a :func:`differential_trial` on the interpreter, and
+    the exception that replay raises is the window's outcome.  A replay
+    that passes means the kernel was wrong on a lane the gate did not
+    check, and is reported as an
+    :class:`~repro.semantics.engine.EngineMismatchError`.
 
     Returns a :class:`VerificationReport`.  Raises
     :class:`VerificationFailure` on the first disagreement, and
@@ -260,10 +224,10 @@ def verify_binding(
     gives.  ``trials`` and ``offset`` are then unused.  The binding is
     linted, proved and given executors once; a refuting proof's
     counterexample is replayed once, and its failure is every window's
-    outcome.  On the vectorized engine all windows run as one batch
-    per description, each window numbering its gate trials from 0.
-    Only a gate mismatch in that batch, which does not say whose lane
-    it was, sends each window to a call of its own.
+    outcome.  All windows run as one batch per description, each
+    window numbering its gate trials from 0.  Only a gate mismatch in
+    that batch, which does not say whose lane it was, sends each window
+    to a call of its own.
     """
     cfg = config if config is not None else _VERIFY_DEFAULTS
     gate_diagnostics = lint_binding(binding)
@@ -289,7 +253,7 @@ def verify_binding(
 
     def replay(scenario: Scenario):
         """None, or the exception one trial on the interpreter raises."""
-        return captured(differential_trial, binding, scenario, engine="interp")
+        return captured(differential_trial, binding, scenario)
 
     prove_verdict: Optional[str] = None
     proved = False
@@ -326,28 +290,15 @@ def verify_binding(
             executed_trials=None if ran == count else ran,
         )
 
-    def scalar(stream, window_offset, count, ran) -> VerificationReport:
-        for scenario in stream.window(window_offset, ran):
-            _run_trial(
-                operator_exec,
-                instruction_exec,
-                rename,
-                ranges,
-                scenario,
-                resolved.name,
-                collect,
-            )
-        return report(window_offset, count, ran)
-
     def flagged(stream: ScenarioStream, index: int) -> Exception:
-        """The outcome of a window whose trial ``index`` the kernel flagged."""
+        """The outcome of a window whose trial ``index`` its batch flagged."""
         failure = replay(stream.window(index, 1)[0])
         if failure is not None:
             return failure
         return EngineMismatchError(
-            "vectorized engine flagged trial %d of %r vs %r but the "
+            "%s engine flagged trial %d of %r vs %r but the "
             "interpreter replay passed"
-            % (index, operator_desc.name, instruction_desc.name)
+            % (resolved.name, index, operator_desc.name, instruction_desc.name)
         )
 
     def wide(stream: ScenarioStream) -> list:
@@ -357,8 +308,6 @@ def verify_binding(
         its trials count as verified.  Otherwise its trials before the
         first flagged lane count, and that lane's replay decides it.
         """
-        from ..semantics.vectorized import lanes_disagree
-
         batch = stream.draw_windows(executed)
         columns = dict(batch.inputs)
         for operand, lo, hi in ranges:
@@ -404,18 +353,11 @@ def verify_binding(
         outcomes = [refutation] * len(plan)
     else:
         with obs.span("verify", engine=resolved.name):
-            stream = ScenarioStream(spec, cfg.seed)
-            if resolved.name != "vectorized":
-                outcomes = [
-                    captured(scalar, stream, o, count, ran)
-                    for (o, count), (_, ran) in zip(plan, executed)
-                ]
-            else:
-                try:
-                    outcomes = wide(stream)
-                except EngineMismatchError as mismatch:
-                    # None leaves a window to a call of its own.
-                    outcomes = [mismatch] if len(plan) == 1 else [None] * len(plan)
+            try:
+                outcomes = wide(ScenarioStream(spec, cfg.seed))
+            except EngineMismatchError as mismatch:
+                # None leaves a window to a call of its own.
+                outcomes = [mismatch] if len(plan) == 1 else [None] * len(plan)
     if windows is None:
         (outcome,) = outcomes
         if isinstance(outcome, Exception):

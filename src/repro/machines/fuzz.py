@@ -185,31 +185,27 @@ def _build_program(
     return AsmProgram(spec.key, lines)
 
 
-def run_trial(
-    machine: str,
-    case_name: str,
-    trial: int,
-    engine: Optional[ExecutionEngine] = None,
-) -> None:
-    """One differential trial; raises :class:`FuzzMismatch` on drift."""
-    spec = machine_spec(machine)
-    case = next(c for c in spec.fuzz if c.name == case_name)
-    engine = engine or ExecutionEngine()
-    rng = random.Random(
-        derive_seed(SEED_EPOCH, machine, case_name, engine.name, trial)
-    )
+#: Most lanes one campaign batch runs: the largest fuzz address is
+#: 1,279, so one batch's per-lane memory image is about 5.5 MB.
+CAMPAIGN_LANES = 4096
+
+
+def _draw(machine: str, case: FuzzCase, engine: str, trial: int):
+    """Trial ``trial``'s ``(bindings, ISDL inputs, initial memory)``."""
+    rng = random.Random(derive_seed(SEED_EPOCH, machine, case.name, engine, trial))
     bindings, memory = materialize(case, rng)
+    inputs = {name: _resolve(source, bindings) for name, source in case.isdl_inputs}
+    return bindings, inputs, memory
 
-    inputs = {
-        name: _resolve(source, bindings) for name, source in case.isdl_inputs
-    }
-    run = engine.executor(load_description(machine, case.name)).run(
-        inputs, memory
-    )
 
-    params = {
-        name: _resolve(source, bindings) for name, source in case.params
-    }
+def _compare(
+    machine: str, case: FuzzCase, engine: str, trial: int, draw, run
+) -> None:
+    """Run the simulator on a drawn trial and compare it with the ISDL
+    side's result ``run``; raises :class:`FuzzMismatch` on drift."""
+    bindings, inputs, memory = draw
+    spec = machine_spec(machine)
+    params = {name: _resolve(source, bindings) for name, source in case.params}
     program = _build_program(spec, case, bindings)
     sim = simulator_class(machine)().run(program, params, memory)
 
@@ -218,7 +214,7 @@ def run_trial(
         for kind, name in case.outputs
     )
     context = (
-        f"{machine}/{case_name} engine={engine.name} trial={trial} "
+        f"{machine}/{case.name} engine={engine} trial={trial} "
         f"inputs={inputs} params={params}"
     )
     if run.outputs != expected:
@@ -235,14 +231,59 @@ def run_trial(
         raise FuzzMismatch(f"{context}: memory drift {delta}")
 
 
+def _fuzz_case(machine: str, case_name: str) -> FuzzCase:
+    return next(c for c in machine_spec(machine).fuzz if c.name == case_name)
+
+
+def run_trial(
+    machine: str,
+    case_name: str,
+    trial: int,
+    engine: Optional[ExecutionEngine] = None,
+) -> None:
+    """Replay one differential trial from its coordinates; raises
+    :class:`FuzzMismatch` on drift.
+
+    The ISDL side is a single trial, so it runs on the interpreter
+    whichever engine names the trial's seed.
+    """
+    case = _fuzz_case(machine, case_name)
+    engine = engine or ExecutionEngine()
+    draw = _draw(machine, case, engine.name, trial)
+    executor = engine.executor(load_description(machine, case.name))
+    run = executor.run(draw[1], draw[2])
+    _compare(machine, case, engine.name, trial, draw, run)
+
+
 def run_campaign(
     machine: str,
     case_name: str,
     trials: int,
     engine: Optional[ExecutionEngine] = None,
 ) -> int:
-    """Run ``trials`` trials of one case; returns the count run."""
+    """Run trials ``0 .. trials - 1`` of one case; returns the count run.
+
+    Each trial draws the state :func:`run_trial` draws.  The ISDL side
+    runs on one executor in batches of at most :data:`CAMPAIGN_LANES`
+    lanes, one memory per lane, so the vectorized engine runs them on
+    its kernel and its gate numbers lanes by campaign trial; the
+    simulator runs each trial on its own.
+    """
+    case = _fuzz_case(machine, case_name)
     engine = engine or ExecutionEngine()
-    for trial in range(trials):
-        run_trial(machine, case_name, trial, engine)
+    executor = engine.executor(load_description(machine, case.name))
+    for first in range(0, trials, CAMPAIGN_LANES):
+        numbers = range(first, min(trials, first + CAMPAIGN_LANES))
+        draws = [_draw(machine, case, engine.name, trial) for trial in numbers]
+        batch = executor.run_batch(
+            {name: [draw[1][name] for draw in draws] for name, _ in case.isdl_inputs},
+            [draw[2] for draw in draws],
+            n=len(draws),
+        )
+        for trial, draw, outcome in zip(
+            numbers, draws, batch.lane_outcomes(range(batch.n))
+        ):
+            if outcome[0] == "raise":
+                raise outcome[3]
+            _compare(machine, case, engine.name, trial, draw, outcome[1])
     return trials

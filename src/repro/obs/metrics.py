@@ -93,15 +93,15 @@ COUNTERS: Dict[str, str] = {
         "Vectorized kernel-cache lookups that lowered a description."
     ),
     "repro_engine_runs_total": (
-        "Description executions through an ExecutionEngine executor, "
-        "by engine."
+        "Single-trial runs through an ExecutionEngine executor, by "
+        "engine; each runs on the interpreter."
     ),
     "repro_engine_steps_total": (
         "ISDL statements executed across engine runs, by engine."
     ),
     "repro_engine_gate_checks_total": (
-        "Differential-gate cross-check events; each compares one "
-        "vectorized trial against the interpreter."
+        "Differential-gate cross-check events; each compares one lane "
+        "the vectorized kernel ran against the interpreter."
     ),
     "repro_engine_batch_runs_total": (
         "Batch executions through an ExecutionEngine executor, by "

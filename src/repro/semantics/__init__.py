@@ -19,17 +19,16 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     ".interpreter": (
         "AssertionFailed",
+        "BatchResult",
         "ExecutionResult",
         "Interpreter",
         "StepLimitExceeded",
         "run_description",
     ),
     ".vectorized": (
-        "BatchResult",
         "VectorizedDescription",
         "clear_vector_cache",
         "compile_vectorized",
-        "run_vectorized",
         "vector_cache_stats",
     ),
     ".randomgen": (

@@ -11,8 +11,12 @@ Two engines execute descriptions:
   active-lane masks.  A batch the numpy lanes cannot run (a value
   past +/-2**61, a write past the memory image, inputs or memory the
   lanes cannot hold, or no numpy on the host) runs lane by lane on the
-  interpreter instead.  A scalar run is an N=1 batch.  This is the
-  default engine.
+  interpreter instead.  This is the default engine.
+
+Both engines' executors answer one contract: ``run(inputs, memory)``
+runs one trial and ``run_batch(inputs, memory, n)`` runs a batch (see
+:class:`~repro.semantics.interpreter.BatchResult`).  A single trial
+always runs on the interpreter; only a batch reaches the kernel.
 
 The vectorized engine exists purely for speed, so its correctness is
 enforced structurally rather than trusted: a **differential gate**
@@ -23,24 +27,22 @@ gate ``always`` on; the batch runner samples; benchmarks turn it
 ``off`` to measure raw engine speed.  A lane's gate index is its
 position in its window — a batch of :class:`ScenarioBatch` windows
 (the batch runner's 64-trial shards) numbers each window's lanes from
-0 — and the sampled gate checks index 0 plus roughly one index in
-:data:`GATE_PERIOD`, so every window checks its own first lane.  Any
-disagreement — outputs, final memory, registers, step count, or
-exception behaviour — raises :class:`EngineMismatchError` *before* any
-verification verdict can be reported.
+0, and the batches of one executor number their lanes on from the
+previous batch's — and the sampled gate checks index 0 plus roughly
+one index in :data:`GATE_PERIOD`, so every window checks its own first
+lane.  Any disagreement — outputs, final memory, registers, step
+count, or exception behaviour — raises :class:`EngineMismatchError`
+*before* any verification verdict can be reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple, Union
+from typing import Any, Mapping, Optional, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
-from .interpreter import ExecutionResult, Interpreter
-
-if TYPE_CHECKING:
-    from .vectorized import BatchResult
+from .interpreter import BatchResult, ExecutionResult, Interpreter
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
 ENGINE_NAMES: Tuple[str, ...] = ("interp", "vectorized")
@@ -131,9 +133,9 @@ class ExecutionEngine:
     """
 
     name: str = DEFAULT_ENGINE
-    #: ``always`` | ``sampled`` | ``off`` — how often vectorized runs
-    #: are cross-checked against the interpreter.  Irrelevant for
-    #: ``interp``.
+    #: ``always`` | ``sampled`` | ``off`` — how often lanes the
+    #: vectorized kernel ran are cross-checked against the interpreter.
+    #: Irrelevant for ``interp``.
     gate: str = "always"
 
     def __post_init__(self) -> None:
@@ -163,13 +165,12 @@ class ExecutionEngine:
         return cls(name=engine, gate=gate if gate is not None else "always")
 
     def executor(self, description: ast.Description, max_steps: int = 200_000):
-        """An object with ``run(inputs, memory) -> ExecutionResult``.
+        """An object with ``run(inputs, memory) -> ExecutionResult`` and
+        ``run_batch(inputs, memory, n) -> BatchResult``.
 
         Reuse one executor for a whole trial stream: the vectorized
         engine amortizes its (cached) lowering, and its gate numbers
-        trials per executor.  The ``vectorized`` executor additionally
-        exposes ``run_batch(inputs, memory, n) -> BatchResult`` for the
-        wide verification path.
+        the lanes of an executor's batches as one stream of trials.
         """
         if self.name == "interp":
             inner = Interpreter(description, max_steps=max_steps)

@@ -26,16 +26,26 @@ node's big-step rule, with names, widths, callees and operator
 functions already looked up.  Resolution raises nothing a run may not
 reach: an undeclared name or routine, a wrong arity, an unknown
 operator or a duplicate register raises only in a run that gets there.
+
+Batches
+-------
+
+Both execution engines answer one batch contract:
+``run_batch(inputs, memory, n)`` runs ``n`` lanes and returns a
+:class:`BatchResult`.  :meth:`Interpreter.run_batch` runs them one
+after another; the vectorized engine's kernel runs them at once and
+sends every batch its numpy lanes cannot run here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..isdl import ast
 from ..isdl.errors import SemanticError
+from .randomgen import ScenarioBatch, load_numpy
 from .values import (
     BINARY_OPS,
     BYTE_MASK,
@@ -66,6 +76,134 @@ class ExecutionResult:
     memory: Dict[int, int]  # nonzero final cells
     registers: Dict[str, int]
     steps: int
+
+
+#: An error lane's placeholder result (never reported).
+_NO_RESULT = ExecutionResult((), {}, {}, 0)
+
+#: The exceptions a lane may record, by type name.
+_LANE_ERRORS = {
+    "StepLimitExceeded": StepLimitExceeded,
+    "AssertionFailed": AssertionFailed,
+    "SemanticError": SemanticError,
+    "ValueError": ValueError,
+}
+
+
+def _rebuild_error(kind: str, message: str) -> Exception:
+    if kind == "_LoopExit":
+        return _LoopExit()
+    return _LANE_ERRORS[kind](message)
+
+
+def _gather(vec, index) -> list:
+    """A vector's, mask's or input column's scalar at each lane of
+    ``index`` (a scalar broadcasts); masks come back truthy or falsy."""
+    if isinstance(vec, (list, tuple)):
+        return [int(vec[lane]) for lane in index]
+    if getattr(vec, "ndim", 0):
+        return vec[index].tolist()
+    return [int(vec)] * len(index)
+
+
+def batch_size(inputs: Mapping[str, Any], memory, n: Optional[int] = None) -> int:
+    """``n``, or the lane count ``memory`` or the input columns imply."""
+    if n is not None:
+        return n
+    if isinstance(memory, ScenarioBatch):
+        return memory.n
+    if memory is not None:
+        return len(memory)
+    return next((len(v) for v in inputs.values() if not isinstance(v, int)), 1)
+
+
+def lanes_inputs(inputs: Mapping[str, Any], lanes) -> List[Dict[str, int]]:
+    """Each of ``lanes``' scalar inputs, read from batch input columns."""
+    index = list(lanes)
+    columns = [(name, _gather(value, index)) for name, value in inputs.items()]
+    return [{name: column[j] for name, column in columns} for j in range(len(index))]
+
+
+def lanes_memory(memory, lanes) -> list:
+    """Each of ``lanes``' initial memory in a batch's ``memory``: none,
+    a :class:`ScenarioBatch`'s arenas, or one mapping per lane."""
+    if memory is None:
+        return [None] * len(lanes)
+    if isinstance(memory, ScenarioBatch):
+        return memory.lanes_memory(lanes)
+    return [memory[lane] for lane in lanes]
+
+
+@dataclass
+class BatchResult:
+    """Everything observable about one batch run, lane-addressable.
+
+    ``lane_outcomes`` normalizes lanes to one shape —
+    ``("result", ExecutionResult)`` or ``("raise", type name, message,
+    exception)`` — so differential comparison is a tuple equality per
+    lane.  It reads every requested lane with one gather per register,
+    output, step and memory vector.
+
+    An ``interp`` result (a batch run lane by lane on the interpreter)
+    holds list columns and one final memory per lane.  A ``numpy``
+    result holds the vectorized kernel's arrays and its memory image,
+    whose ``img`` is an ``(n, width)`` byte array and whose
+    ``snapshot_lanes`` reads lanes' nonzero cells.
+    """
+
+    n: int
+    #: ``numpy`` or ``interp``
+    backend: str
+    errors: List[Optional[Tuple[str, str]]]
+    registers: Dict[str, Any]
+    steps: Any
+    #: ``(values, mask)`` per ``output`` the run made
+    _outputs: List[Tuple[Any, Any]]
+    #: the kernel's memory image, or each lane's final memory
+    _mem: Any
+
+    def _index(self, lanes):
+        """``lanes`` as an index into this result's columns."""
+        if self.backend == "numpy":
+            np = load_numpy()
+            return np.asarray(lanes, dtype=np.intp)
+        return list(lanes)
+
+    def _lanes_memory(self, index) -> List[Dict[int, int]]:
+        """Each indexed lane's nonzero final cells."""
+        if isinstance(self._mem, list):
+            return [self._mem[lane] for lane in index]
+        return self._mem.snapshot_lanes(index)
+
+    def _lanes_outputs(self, index) -> List[Tuple[int, ...]]:
+        """Each indexed lane's outputs, in emission order."""
+        columns = [(_gather(v, index), _gather(m, index)) for v, m in self._outputs]
+        return [tuple(v[j] for v, m in columns if m[j]) for j in range(len(index))]
+
+    def lane_outcomes(self, lanes: Sequence[int]) -> list:
+        """The outcome of each of ``lanes``, in order."""
+        index = self._index(lanes)
+        outputs = self._lanes_outputs(index)
+        memories = self._lanes_memory(index)
+        steps = _gather(self.steps, index)
+        regs = [(name, _gather(vec, index)) for name, vec in self.registers.items()]
+        outcomes = []
+        for j, lane in enumerate(lanes):
+            error = self.errors[lane]
+            if error is None:
+                values = {name: column[j] for name, column in regs}
+                result = ExecutionResult(outputs[j], memories[j], values, steps[j])
+                outcomes.append(("result", result))
+            else:
+                outcomes.append(("raise", error[0], error[1], _rebuild_error(*error)))
+        return outcomes
+
+    def lane_raise_or_result(self, lane: int) -> ExecutionResult:
+        """One lane's result, or the exception it raised, raised."""
+        (outcome,) = self.lane_outcomes([lane])
+        if outcome[0] == "raise":
+            raise outcome[3]
+        return outcome[1]
 
 
 class _Run:
@@ -167,6 +305,53 @@ class Interpreter:
             memory={addr: value for addr, value in st.mem.items() if value != 0},
             registers=dict(zip(self._names, st.regs)),
             steps=st.steps,
+        )
+
+    def run_batch(
+        self,
+        inputs: Mapping[str, Any],
+        memory: Union[None, ScenarioBatch, Sequence[Mapping[int, int]]] = None,
+        n: Optional[int] = None,
+    ) -> BatchResult:
+        """Run ``n`` lanes, one after another.
+
+        Lane ``i`` sees ``inputs[name][i]`` (a scalar broadcasts) and
+        its own copy of its initial memory: a :class:`ScenarioBatch`'s
+        lane-``i`` arena, or ``memory[i]`` of one mapping per lane.  An
+        error lane records the exception its run raised, as a kernel
+        lane records the one it would have raised.
+        """
+        n = batch_size(inputs, memory, n)
+        errors: List[Optional[Tuple[str, str]]] = []
+        results: List[ExecutionResult] = []
+        for lane_inputs, lane_memory in zip(
+            lanes_inputs(inputs, range(n)), lanes_memory(memory, range(n))
+        ):
+            try:
+                results.append(self.run(lane_inputs, lane_memory))
+                errors.append(None)
+            except (SemanticError, ValueError, _LoopExit) as error:
+                results.append(_NO_RESULT)
+                errors.append((type(error).__name__, str(error)))
+        width = max((len(result.outputs) for result in results), default=0)
+        names = next((r.registers for r, e in zip(results, errors) if e is None), {})
+        return BatchResult(
+            n=n,
+            backend="interp",
+            errors=errors,
+            registers={
+                name: [result.registers.get(name, 0) for result in results]
+                for name in names
+            },
+            steps=[result.steps for result in results],
+            _outputs=[
+                (
+                    [r.outputs[k] if k < len(r.outputs) else 0 for r in results],
+                    [k < len(r.outputs) for r in results],
+                )
+                for k in range(width)
+            ],
+            _mem=[result.memory for result in results],
         )
 
     # ------------------------------------------------------------------
@@ -389,3 +574,54 @@ def run_description(
 ) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`Interpreter`."""
     return Interpreter(description, max_steps=max_steps).run(inputs, memory)
+
+
+def _lanes_outputs_differ(a: BatchResult, b: BatchResult):
+    if a.backend == b.backend == "numpy" and len(a._outputs) == len(b._outputs):
+        np = load_numpy()
+        diff = np.zeros(a.n, dtype=bool)
+        for (va, ma), (vb, mb) in zip(a._outputs, b._outputs):
+            ma, mb = np.broadcast_to(ma, a.n), np.broadcast_to(mb, a.n)
+            diff |= (ma != mb) | (ma & (np.broadcast_to(va, a.n) != vb))
+        return diff
+    index = list(range(a.n))
+    return [x != y for x, y in zip(a._lanes_outputs(index), b._lanes_outputs(index))]
+
+
+def _lanes_memory_differ(a: BatchResult, b: BatchResult):
+    if a.backend == b.backend == "numpy":
+        img_a, img_b = a._mem.img, b._mem.img
+        wa, wb = img_a.shape[1], img_b.shape[1]
+        if wa == wb and img_a.tobytes() == img_b.tobytes():
+            # Agreement is the overwhelmingly common case; a memcmp
+            # beats materializing an (n, width) boolean difference.
+            return load_numpy().zeros(a.n, dtype=bool)
+        w = min(wa, wb)
+        diff = (img_a[:, :w] != img_b[:, :w]).any(axis=1)
+        # The wider image's extra columns must be all-zero to agree
+        # (zero cells are absent from snapshots on both sides).
+        if wa > wb:
+            diff |= img_a[:, w:].any(axis=1)
+        elif wb > wa:
+            diff |= img_b[:, w:].any(axis=1)
+        return diff
+    index = list(range(a.n))
+    return [x != y for x, y in zip(a._lanes_memory(index), b._lanes_memory(index))]
+
+
+def lanes_disagree(a: BatchResult, b: BatchResult):
+    """Per-lane booleans: do two batch runs observably disagree?
+
+    Compares live outputs and final memories columnar (a handful of
+    array ops when both ran on the kernel's numpy lanes) — the wide
+    form of a differential trial's ``outputs``/``memory`` checks.
+    Errors are *not* compared here; callers scan ``errors`` directly
+    because error lanes carry exception payloads, not results.
+    """
+    if a.n != b.n:
+        raise ValueError("batch width mismatch: %d vs %d lanes" % (a.n, b.n))
+    out = _lanes_outputs_differ(a, b)
+    mem = _lanes_memory_differ(a, b)
+    if isinstance(out, list) or isinstance(mem, list):
+        return [bool(out[lane]) or bool(mem[lane]) for lane in range(a.n)]
+    return out | mem

@@ -19,20 +19,21 @@ branches:
 
 The kernel runs on NumPy int64 arrays.  It guards against int64
 overflow with static value-range tracking plus checked arithmetic, and
-a batch it cannot run exactly goes to one other path: lane by lane on
-the interpreter, the reference semantics, so results are *always*
-bit-identical to it.  Three kinds of batch take that path: one that
-escalates (:class:`_Escalate`: a value past +/-2**61, or a write past
-the memory image), one whose inputs or initial memory the lanes
-cannot hold (:func:`_np_eligible`), and every batch on a host without
-numpy.
+a batch it cannot run exactly goes to one other path:
+:meth:`Interpreter.run_batch`, the reference semantics run lane by
+lane, so results are *always* bit-identical to it.  Three kinds of
+batch take that path: one that escalates (:class:`_Escalate`: a value
+past +/-2**61, or a write past the memory image), one whose inputs or
+initial memory the lanes cannot hold (:func:`_np_eligible`,
+:meth:`_NpMem.from_lanes`), and every batch on a host without numpy.
+A single trial (``run``) runs on that same interpreter: only batches
+reach the kernel.
 
 Compiled kernels are cached content-keyed beside the parse memos
 (namespace ``vectorized``).  The differential gate lives here too: a
 :class:`VectorizedDescription` re-runs a seeded sample of the lanes its
 kernel ran on that same interpreter (the modes and the sampling rule
-are documented in :mod:`repro.semantics.engine`).  A scalar run is an
-N=1 batch, so it is gated like any other.
+are documented in :mod:`repro.semantics.engine`).
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ from ..isdl.digest import description_text
 from ..isdl.errors import SemanticError
 from .engine import GATE_PERIOD, GATE_SEED, EngineMismatchError
 from .interpreter import (
-    AssertionFailed,
+    BatchResult,
     ExecutionResult,
     Interpreter,
-    StepLimitExceeded,
-    _LoopExit,
+    batch_size,
+    lanes_inputs,
+    lanes_memory,
 )
 from .randomgen import ScenarioBatch, derive_seed
 from .values import BYTE_MASK, width_bits
@@ -78,8 +80,8 @@ _GUARD = 1 << 61
 #: plain int64 ops on two guarded values can never wrap.
 _SAFE = 1 << 62
 
-#: Dict memories with keys at or above this run on the interpreter
-#: (the dense image would be too wide).
+#: A batch whose per-lane memory has a cell at or above this address
+#: runs on the interpreter (the dense image would be too wide).
 _MEM_KEY_LIMIT = 1 << 16
 
 
@@ -229,14 +231,29 @@ class _NpMem:
         return cls(img)
 
     @classmethod
-    def from_dict(cls, cells: Mapping[int, int], n: int) -> "_NpMem":
-        width = 128
-        if cells:
-            width = max(width, max(cells) + 65)
-        row = _np.zeros(width, dtype=_np.uint8)
-        for addr, value in cells.items():
-            row[addr] = value
-        return cls(_np.repeat(row[None, :], n, axis=0))
+    def from_lanes(cls, memories, n: int) -> "_NpMem":
+        """One row per lane from one mapping per lane (or None for no
+        memory); a cell the image cannot hold (a negative address or
+        one past ``_MEM_KEY_LIMIT``, or a value that is not a byte)
+        escalates the batch to the interpreter."""
+        counts, addrs, values = [], [], []
+        for cells in memories or ():
+            counts.append(len(cells) if cells else 0)
+            if cells:
+                addrs.extend(cells)
+                values.extend(cells.values())
+        if not addrs:
+            return cls(_np.zeros((n, 128), dtype=_np.uint8))
+        try:
+            a = _np.array(addrs, dtype=_np.int64)
+            v = _np.array(values, dtype=_np.int64)
+        except OverflowError:
+            raise _Escalate() from None
+        if a.min() < 0 or a.max() >= _MEM_KEY_LIMIT or v.min() < 0 or v.max() > BYTE_MASK:
+            raise _Escalate()
+        img = _np.zeros((n, max(128, int(a.max()) + 65)), dtype=_np.uint8)
+        img[_np.repeat(_np.arange(n), counts), a] = v
+        return cls(img)
 
     def read(self, m, addr, clip):
         if isinstance(addr, int):
@@ -1258,198 +1275,19 @@ def clear_vector_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# batch results
-
-
-_EXC_TYPES = {
-    "StepLimitExceeded": StepLimitExceeded,
-    "AssertionFailed": AssertionFailed,
-    "SemanticError": SemanticError,
-    "ValueError": ValueError,
-    "_LoopExit": _LoopExit,
-}
-
-
-def _rebuild_error(kind: str, message: str) -> Exception:
-    if kind == "_LoopExit":
-        return _LoopExit()
-    return _EXC_TYPES[kind](message)
-
-
-def _index(lanes):
-    """``lanes`` as a fancy index when numpy is present."""
-    return _np.asarray(lanes, dtype=_np.intp) if HAVE_NUMPY else list(lanes)
-
-
-def _gather(vec, lanes) -> list:
-    """A vector's, mask's or input column's scalar at each of ``lanes``
-    (a scalar broadcasts); masks come back truthy or falsy."""
-    if HAVE_NUMPY and isinstance(vec, _np.ndarray):
-        return vec[lanes].tolist()
-    if isinstance(vec, (list, tuple)):
-        return [int(vec[lane]) for lane in lanes]
-    return [int(vec)] * len(lanes)
-
-
-def lanes_inputs(inputs: Mapping[str, Any], lanes) -> List[Dict[str, int]]:
-    """Each of ``lanes``' scalar inputs, read from batch input columns."""
-    index = _index(lanes)
-    columns = [(name, _gather(value, index)) for name, value in inputs.items()]
-    return [{name: column[j] for name, column in columns} for j in range(len(index))]
-
-
-@dataclass
-class BatchResult:
-    """Everything observable about one batch run, lane-addressable.
-
-    ``lane_outcomes`` normalizes lanes to the same shape the gate's
-    ``_observe`` uses — ``("result", ExecutionResult)`` or
-    ``("raise", type name, message, exception)`` — so differential
-    comparison is a tuple equality per lane.  It reads every requested
-    lane with one gather per register, output, step and memory vector.
-
-    A ``numpy`` result holds the kernel's arrays and memory image; an
-    ``interp`` result (a batch run lane by lane on the interpreter)
-    holds list columns and one final memory per lane.
-    """
-
-    n: int
-    #: ``numpy`` or ``interp``
-    backend: str
-    max_steps: int
-    errors: List[Optional[Tuple[str, str]]]
-    registers: Dict[str, Any]
-    steps: Any
-    #: ``(values, mask)`` per ``output`` the run made
-    _outputs: List[Tuple[Any, Any]]
-    #: an :class:`_NpMem`, or each lane's final memory
-    _mem: Any
-
-    def ok(self, lane: int) -> bool:
-        return self.errors[lane] is None
-
-    def _lanes_memory(self, index) -> List[Dict[int, int]]:
-        """Each indexed lane's nonzero final cells."""
-        if isinstance(self._mem, list):
-            return [self._mem[lane] for lane in index]
-        return self._mem.snapshot_lanes(index)
-
-    def _lanes_outputs(self, index) -> List[Tuple[int, ...]]:
-        """Each indexed lane's outputs, in emission order."""
-        columns = [(_gather(v, index), _gather(m, index)) for v, m in self._outputs]
-        return [tuple(v[j] for v, m in columns if m[j]) for j in range(len(index))]
-
-    def lane_outcomes(self, lanes: Sequence[int]) -> list:
-        """The outcome of each of ``lanes``, in order."""
-        index = _index(lanes)
-        outputs = self._lanes_outputs(index)
-        memories = self._lanes_memory(index)
-        steps = _gather(self.steps, index)
-        regs = [(name, _gather(vec, index)) for name, vec in self.registers.items()]
-        outcomes = []
-        for j, lane in enumerate(lanes):
-            error = self.errors[lane]
-            if error is None:
-                values = {name: column[j] for name, column in regs}
-                result = ExecutionResult(outputs[j], memories[j], values, steps[j])
-                outcomes.append(("result", result))
-            else:
-                outcomes.append(("raise", error[0], error[1], _rebuild_error(*error)))
-        return outcomes
-
-    def lane_outcome(self, lane: int):
-        return self.lane_outcomes([lane])[0]
-
-    def lane_raise_or_result(self, lane: int) -> ExecutionResult:
-        outcome = self.lane_outcome(lane)
-        if outcome[0] == "raise":
-            raise outcome[3]
-        return outcome[1]
-
-
-def _np_bool(value, n: int):
-    if isinstance(value, _np.ndarray):
-        return value
-    return _np.full(n, bool(value))
-
-
-def _np_vec(value, n: int):
-    if isinstance(value, _np.ndarray):
-        return value
-    return _np.full(n, int(value), dtype=_np.int64)
-
-
-def _lanes_outputs_differ(a: "BatchResult", b: "BatchResult"):
-    if a.backend == b.backend == "numpy" and len(a._outputs) == len(b._outputs):
-        diff = _np.zeros(a.n, dtype=bool)
-        for (va, ma), (vb, mb) in zip(a._outputs, b._outputs):
-            ma_, mb_ = _np_bool(ma, a.n), _np_bool(mb, b.n)
-            va_, vb_ = _np_vec(va, a.n), _np_vec(vb, b.n)
-            diff |= (ma_ != mb_) | (ma_ & (va_ != vb_))
-        return diff
-    index = _index(range(a.n))
-    return [
-        x != y for x, y in zip(a._lanes_outputs(index), b._lanes_outputs(index))
-    ]
-
-
-def _lanes_memory_differ(a: "BatchResult", b: "BatchResult"):
-    mem_a, mem_b = a._mem, b._mem
-    if isinstance(mem_a, _NpMem) and isinstance(mem_b, _NpMem):
-        wa, wb = mem_a.img.shape[1], mem_b.img.shape[1]
-        if wa == wb and mem_a.img.tobytes() == mem_b.img.tobytes():
-            # Agreement is the overwhelmingly common case; a memcmp
-            # beats materializing an (n, width) boolean difference.
-            return _np.zeros(a.n, dtype=bool)
-        w = min(wa, wb)
-        diff = (mem_a.img[:, :w] != mem_b.img[:, :w]).any(axis=1)
-        # The wider image's extra columns must be all-zero to agree
-        # (zero cells are absent from snapshots on both sides).
-        if wa > wb:
-            diff |= mem_a.img[:, w:].any(axis=1)
-        elif wb > wa:
-            diff |= mem_b.img[:, w:].any(axis=1)
-        return diff
-    index = _index(range(a.n))
-    return [x != y for x, y in zip(a._lanes_memory(index), b._lanes_memory(index))]
-
-
-def lanes_disagree(a: "BatchResult", b: "BatchResult"):
-    """Per-lane booleans: do two batch runs observably disagree?
-
-    Compares live outputs and final memories columnar (a handful of
-    array ops when both ran on numpy lanes) — the wide equivalent of the
-    scalar verifier's ``outputs``/``memory`` checks.  Errors are *not*
-    compared here; callers scan ``errors`` directly because error
-    lanes carry scalar-engine exception payloads, not results.
-    """
-    if a.n != b.n:
-        raise ValueError(
-            "batch width mismatch: %d vs %d lanes" % (a.n, b.n)
-        )
-    out = _lanes_outputs_differ(a, b)
-    mem = _lanes_memory_differ(a, b)
-    if HAVE_NUMPY and isinstance(out, _np.ndarray) and isinstance(mem, _np.ndarray):
-        return out | mem
-    return [bool(out[lane]) or bool(mem[lane]) for lane in range(a.n)]
-
-
-# ---------------------------------------------------------------------------
 # execution wrapper
 
 
 def _np_eligible(inputs: Mapping[str, Any], memory) -> bool:
+    """Can the numpy lanes hold these inputs and this memory form?
+
+    One mapping per lane is checked as its image is built
+    (:meth:`_NpMem.from_lanes`).
+    """
     if not HAVE_NUMPY:
         return False
-    if isinstance(memory, ScenarioBatch):
-        if memory.image is None:
-            return False
-    elif memory:
-        for addr, value in memory.items():
-            if addr < 0 or addr >= _MEM_KEY_LIMIT:
-                return False
-            if value < 0 or value > BYTE_MASK:
-                return False
+    if isinstance(memory, ScenarioBatch) and memory.image is None:
+        return False
     for value in inputs.values():
         if isinstance(value, int):
             if abs(value) > _GUARD:
@@ -1459,10 +1297,6 @@ def _np_eligible(inputs: Mapping[str, Any], memory) -> bool:
                 if abs(int(item)) > _GUARD:
                     return False
     return True
-
-
-#: An interpreted error lane's placeholder result (never reported).
-_NO_RESULT = ExecutionResult((), {}, {}, 0)
 
 
 def _observe(executor, inputs, memory):
@@ -1499,26 +1333,25 @@ def _sampled_positions(name: str, first: int, count: int) -> Tuple[int, ...]:
 class VectorizedDescription:
     """Executes one ISDL description on N machine states at once.
 
-    ``run`` is a drop-in scalar interface (an N=1 batch) with the same
-    contract as :class:`Interpreter` — same results, same exceptions,
-    same messages, same ``steps``.
-    ``run_batch`` is the wide interface the verification pipeline uses.
+    ``run_batch`` runs a batch on the kernel; a batch its numpy lanes
+    cannot run goes to :meth:`Interpreter.run_batch` instead, with the
+    same :class:`BatchResult` contract.  ``run`` is one trial on that
+    same interpreter: the kernel only ever runs batches.
 
     ``gate`` (``always``, ``sampled`` or ``off``) sets how often a lane
     the kernel ran is cross-checked against the interpreter.  A lane's
-    gate index is its position in its window, counted from the
-    executor's next trial: a :class:`ScenarioBatch` holding several
-    windows (the batch runner's 64-trial shards) numbers each of them
-    from there, any other batch is one window, and scalar runs count on
-    one at a time.  A window of a stacked batch therefore gets the
-    indices a fresh executor running it alone would give it, and every
-    window checks its own first lane.  A trial is checked when the
-    gate is ``always``, or — under ``sampled`` — when its index is 0 or
-    its seeded draw lands on the sampling period.  The draw derives
-    from the description name and the index, so which trials are
-    checked is deterministic across processes, independent of sharding
-    order, and identical whether trials arrive one at a time or as a
-    batch.
+    gate index is its position in its window, counted from the lanes
+    of the executor's earlier batches: a :class:`ScenarioBatch` holding
+    several windows (the batch runner's 64-trial shards) numbers each
+    of them from there, and any other batch is one window.  A window of
+    a stacked batch therefore gets the indices a fresh executor running
+    it alone would give it, every window checks its own first lane, and
+    a stream of batches on one executor numbers its lanes as one stream
+    of trials.  A trial is checked when the gate is ``always``, or —
+    under ``sampled`` — when its index is 0 or its seeded draw lands on
+    the sampling period.  The draw derives from the description name
+    and the index, so which trials are checked is deterministic across
+    processes and independent of sharding order.
     """
 
     def __init__(
@@ -1532,7 +1365,7 @@ class VectorizedDescription:
         self._gate = gate
         self._trial = 0
         self._program = compile_vectorized(description)
-        #: built on the first gate check or interpreted batch
+        #: built on the first scalar run, gate check or interpreted batch
         self._interpreter: Optional[Interpreter] = None
 
     @property
@@ -1549,32 +1382,25 @@ class VectorizedDescription:
         inputs: Mapping[str, int],
         memory: Optional[Mapping[int, int]] = None,
     ) -> ExecutionResult:
-        batch = self.run_batch({k: (v,) for k, v in inputs.items()}, memory, n=1)
-        return batch.lane_raise_or_result(0)
+        """One trial, on the interpreter (:meth:`Interpreter.run`)."""
+        return self._reference().run(inputs, memory)
 
     def run_batch(
         self,
         inputs: Mapping[str, Any],
-        memory: Union[None, Mapping[int, int], ScenarioBatch] = None,
+        memory: Union[None, ScenarioBatch, Sequence[Mapping[int, int]]] = None,
         n: Optional[int] = None,
     ) -> BatchResult:
         """Run ``n`` lanes; lane ``i`` sees ``inputs[name][i]`` (scalars
-        broadcast) and its own copy of ``memory``.
+        broadcast) and its own copy of its initial memory.
 
-        With a :class:`ScenarioBatch` as ``memory``, lane ``i`` gets the
-        batch's lane-``i`` arena — the zero-copy path used by
-        ``verify_binding``.  Under a gate, the sampled lanes of a batch
+        ``memory`` is None, one mapping per lane, or a
+        :class:`ScenarioBatch`, whose lane ``i`` gets the batch's
+        lane-``i`` arena — the zero-copy path used by
+        ``verify_binding``.  Under a gate, the gated lanes of a batch
         the kernel ran are re-run on the interpreter before it returns.
         """
-        if n is None:
-            if isinstance(memory, ScenarioBatch):
-                n = memory.n
-            else:
-                n = 1
-                for value in inputs.values():
-                    if not isinstance(value, int):
-                        n = len(value)
-                        break
+        n = batch_size(inputs, memory, n)
         first = self._trial
         self._trial += n
         if _np_eligible(inputs, memory):
@@ -1586,7 +1412,8 @@ class VectorizedDescription:
                 if self._gate != "off":
                     self._check(result, inputs, memory, first)
                 return result
-        return self._interpret(inputs, memory, n)
+        obs.inc("repro_vector_fallback_total")
+        return self._reference().run_batch(inputs, memory, n)
 
     def _reference(self) -> Interpreter:
         """The interpreter, built on first use."""
@@ -1619,12 +1446,11 @@ class VectorizedDescription:
                 lanes.append(start + position)
                 indices.append(first + position)
             start += count
-        if isinstance(memory, ScenarioBatch):
-            memories = memory.lanes_memory(lanes)
-        else:
-            memories = [memory] * len(lanes)
         for got, lane_inputs, lane_memory, index in zip(
-            result.lane_outcomes(lanes), lanes_inputs(inputs, lanes), memories, indices
+            result.lane_outcomes(lanes),
+            lanes_inputs(inputs, lanes),
+            lanes_memory(memory, lanes),
+            indices,
         ):
             self._compare(got, lane_inputs, lane_memory, index)
 
@@ -1652,74 +1478,15 @@ class VectorizedDescription:
         if isinstance(memory, ScenarioBatch):
             mem = _NpMem.from_batch(memory)
         else:
-            mem = _NpMem.from_dict(memory or {}, n)
+            mem = _NpMem.from_lanes(memory, n)
         runtime = _Runtime(_NP_OPS, n, self._max_steps, mem, self._description.name)
         registers = self._program.fn(_NP_OPS, runtime, vec_inputs)
         return BatchResult(
             n=n,
             backend="numpy",
-            max_steps=self._max_steps,
             errors=runtime.errors,
             registers=registers,
             steps=self._max_steps - runtime.budget,
             _outputs=runtime.outputs,
             _mem=runtime.mem,
         )
-
-    def _interpret(self, inputs, memory, n: int) -> BatchResult:
-        """Run the batch lane by lane on the interpreter.
-
-        Every batch the numpy lanes cannot run comes here, so it is
-        exact by construction: the interpreter is the reference
-        semantics.  An error lane records the exception the
-        interpreter raised, as a kernel lane records the one it would
-        have raised.
-        """
-        obs.inc("repro_vector_fallback_total")
-        interpreter = self._reference()
-        if isinstance(memory, ScenarioBatch):
-            memories = memory.lanes_memory(range(n))
-        else:
-            memories = [memory] * n
-        errors: List[Optional[Tuple[str, str]]] = []
-        results: List[ExecutionResult] = []
-        for lane_inputs, lane_memory in zip(lanes_inputs(inputs, range(n)), memories):
-            try:
-                results.append(interpreter.run(lane_inputs, lane_memory))
-                errors.append(None)
-            except (SemanticError, ValueError, _LoopExit) as error:
-                results.append(_NO_RESULT)
-                errors.append((type(error).__name__, str(error)))
-        width = max((len(result.outputs) for result in results), default=0)
-        names = next((r.registers for r, e in zip(results, errors) if e is None), {})
-        return BatchResult(
-            n=n,
-            backend="interp",
-            max_steps=self._max_steps,
-            errors=errors,
-            registers={
-                name: [result.registers.get(name, 0) for result in results]
-                for name in names
-            },
-            steps=[result.steps for result in results],
-            _outputs=[
-                (
-                    [r.outputs[k] if k < len(r.outputs) else 0 for r in results],
-                    [k < len(r.outputs) for r in results],
-                )
-                for k in range(width)
-            ],
-            _mem=[result.memory for result in results],
-        )
-
-
-def run_vectorized(
-    description: ast.Description,
-    inputs: Mapping[str, int],
-    memory: Optional[Mapping[int, int]] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ExecutionResult:
-    """One-shot scalar convenience wrapper (an N=1 batch)."""
-    return VectorizedDescription(description, max_steps=max_steps).run(
-        inputs, memory
-    )

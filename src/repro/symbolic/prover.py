@@ -145,7 +145,7 @@ def _input_terms(
 ) -> Dict[str, Term]:
     """One term per operand: the spec's drawing range clipped into the
     binding's operand range constraint (mirroring
-    ``verify._clip_to_ranges``, which clamps each drawn value)."""
+    ``verify._clip_to_constraints``, which clamps each drawn value)."""
     ranges = {
         constraint.operand: (constraint.lo, constraint.hi)
         for constraint in binding.range_constraints()
@@ -220,19 +220,17 @@ def _search_counterexample(
     return None
 
 
-def replay_counterexample(
-    binding: Binding, scenario: Scenario, engine=None
-) -> None:
+def replay_counterexample(binding: Binding, scenario: Scenario) -> None:
     """Replay a refutation as one ordinary differential trial.
 
     Raises the identical :class:`~repro.analysis.verify.VerificationFailure`
-    (type, message, attached scenario) the sampling loop would raise on
-    that state, through whichever execution engine the caller picks —
-    failure reports stay engine-independent.
+    (type, message, attached scenario) verification reports for that
+    state on either engine: a single trial always runs on the
+    interpreter.
     """
     from ..analysis.verify import differential_trial
 
-    differential_trial(binding, scenario, engine=engine)
+    differential_trial(binding, scenario)
 
 
 # ---------------------------------------------------------------------------

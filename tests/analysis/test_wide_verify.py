@@ -326,6 +326,38 @@ class TestBatchCount:
         assert obs.counter_value(snapshot, "repro_engine_lanes_total") == 4096
         assert obs.counter_value(snapshot, "repro_verify_trials_total") == 2048
 
+    def test_interp_verify_runs_one_batch_per_description(self):
+        # The interpreter answers the same batch contract: its verify
+        # runs the same two batches, lane by lane, and no single trial.
+        with obs.collecting() as registry:
+            result = api.verify("scasb_rigel", trials=240, engine="interp")
+            snapshot = registry.snapshot()
+        assert result.ok and result.verified_trials == 240
+        counters = (
+            "repro_engine_batch_runs_total",
+            "repro_engine_lanes_total",
+            "repro_engine_runs_total",
+            "repro_verify_trials_total",
+        )
+        assert [obs.counter_value(snapshot, name) for name in counters] == [
+            2,
+            480,
+            0,
+            240,
+        ]
+
+    def test_single_trials_reach_no_gate(self):
+        # srl_listsearch verifies one trial at a time: each runs on the
+        # executor's interpreter, so the default engine's gate checks
+        # none of its 400 runs.
+        with obs.collecting() as registry:
+            result = api.analyze("srl_listsearch", RunConfig(trials=200))
+            snapshot = registry.snapshot()
+        assert result.succeeded
+        assert obs.counter_value(snapshot, "repro_engine_runs_total") == 400
+        assert obs.counter_value(snapshot, "repro_engine_gate_checks_total") == 0
+        assert obs.counter_value(snapshot, "repro_vector_fallback_total") == 0
+
     def test_long_entries_run_a_bounded_number_of_shards_per_batch(
         self, monkeypatch
     ):

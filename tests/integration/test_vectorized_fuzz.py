@@ -2,9 +2,9 @@
 
 Three guarantees ride on the vectorized verifier:
 
-* at scale it reaches the same verdict as the scalar loop — ten
+* at scale it reaches the same verdict as the interpreter — ten
   thousand randomized machine states per instruction, across all four
-  target machines, must come back clean exactly as they do scalar;
+  target machines, must come back clean exactly as they do there;
 * when a binding *is* wrong, the failure report is indistinguishable
   from the interpreter's — same first-failing trial, same message,
   same attached scenario — so a red verdict never depends on which

@@ -41,8 +41,13 @@ def _rng(*labels):
     return random.Random(derive_seed(20260805, *labels))
 
 
-def _interp(machine, mnemonic):
-    return ENGINE.executor(load_description(machine, mnemonic))
+def _run(machine, mnemonic, inputs, memory):
+    """The ISDL side of one trial, as a one-lane kernel batch."""
+    executor = ENGINE.executor(load_description(machine, mnemonic))
+    batch = executor.run_batch(
+        {name: [value] for name, value in inputs.items()}, [memory], n=1
+    )
+    return batch.lane_raise_or_result(0)
 
 
 def _string_memory(rng, *bases, length=16):
@@ -66,7 +71,7 @@ def test_i8086_movsb(trial):
     cx = rng.randint(0, 12)
     memory = _string_memory(rng, 16, 300)
     inputs = {"rf": 1, "df": 0, "si": 16, "di": 300, "cx": cx}
-    run = _interp("i8086", "movsb").run(inputs, memory)
+    run = _run("i8086", "movsb", inputs, memory)
 
     program = _program(
         "i8086",
@@ -95,7 +100,7 @@ def test_i8086_scasb(trial):
     # Bias the sought byte toward one that occurs in the string.
     al = memory[16 + rng.randrange(16)] if rng.random() < 0.5 else rng.randrange(256)
     inputs = {"rf": 1, "rfz": 0, "df": 0, "zf": 0, "di": 16, "cx": cx, "al": al}
-    run = _interp("i8086", "scasb").run(inputs, memory)
+    run = _run("i8086", "scasb", inputs, memory)
 
     program = _program(
         "i8086",
@@ -130,7 +135,7 @@ def test_i8086_stosb(trial):
     al = rng.randrange(256)
     memory = _string_memory(rng, 40)
     inputs = {"rf": 1, "df": 0, "al": al, "cx": cx, "di": 40}
-    run = _interp("i8086", "stosb").run(inputs, memory)
+    run = _run("i8086", "stosb", inputs, memory)
 
     program = _program(
         "i8086",
@@ -158,8 +163,8 @@ def test_vax11_movc3(trial):
     src = rng.choice((16, 20, 300))
     dst = rng.choice((16, 20, 24, 400))
     memory = _string_memory(rng, src, dst)
-    run = _interp("vax11", "movc3").run(
-        {"len": length, "srcaddr": src, "dstaddr": dst}, memory
+    run = _run(
+        "vax11", "movc3", {"len": length, "srcaddr": src, "dstaddr": dst}, memory
     )
 
     program = _program(
@@ -184,8 +189,8 @@ def test_vax11_locc(trial):
     length = rng.randint(0, 12)
     memory = _string_memory(rng, 16)
     char = memory[16 + rng.randrange(16)] if rng.random() < 0.5 else rng.randrange(256)
-    run = _interp("vax11", "locc").run(
-        {"char": char, "len": length, "addr": 16}, memory
+    run = _run(
+        "vax11", "locc", {"char": char, "len": length, "addr": 16}, memory
     )
 
     program = _program(
@@ -208,8 +213,8 @@ def test_vax11_cmpc3(trial):
     if rng.random() < 0.5:  # force equal prefixes to exercise the z=1 exit
         for offset in range(16):
             memory[300 + offset] = memory[16 + offset]
-    run = _interp("vax11", "cmpc3").run(
-        {"len": length, "addr1": 16, "addr2": 300}, memory
+    run = _run(
+        "vax11", "cmpc3", {"len": length, "addr1": 16, "addr2": 300}, memory
     )
 
     program = _program(
@@ -244,8 +249,8 @@ def test_ibm370_mvc(trial):
     rng = _rng("ibm370", "mvc", trial)
     code = rng.randint(0, 12)  # encoded length: moves code + 1 bytes
     memory = _string_memory(rng, 16, 300)
-    run = _interp("ibm370", "mvc").run(
-        {"d1": 300, "d2": 16, "len": code}, memory
+    run = _run(
+        "ibm370", "mvc", {"d1": 300, "d2": 16, "len": code}, memory
     )
 
     program = _program(
@@ -267,8 +272,8 @@ def test_ibm370_clc(trial):
     if rng.random() < 0.5:
         for offset in range(16):
             memory[300 + offset] = memory[16 + offset]
-    run = _interp("ibm370", "clc").run(
-        {"c1": 16, "c2": 300, "len": code}, memory
+    run = _run(
+        "ibm370", "clc", {"c1": 16, "c2": 300, "len": code}, memory
     )
 
     program = _program(
@@ -298,8 +303,8 @@ def test_ibm370_tr(trial):
     memory = _string_memory(rng, 16)
     for index in range(256):
         memory[1024 + index] = rng.randrange(256)
-    run = _interp("ibm370", "tr").run(
-        {"d1": 16, "d2": 1024, "len": code}, memory
+    run = _run(
+        "ibm370", "tr", {"d1": 16, "d2": 1024, "len": code}, memory
     )
 
     program = _program(
@@ -336,8 +341,8 @@ def _linked_list(rng):
 def test_b4800_srl(trial):
     rng = _rng("b4800", "srl", trial)
     head, key, offs, memory = _linked_list(rng)
-    run = _interp("b4800", "srl").run(
-        {"ptr": head, "key": key, "offs": offs}, memory
+    run = _run(
+        "b4800", "srl", {"ptr": head, "key": key, "offs": offs}, memory
     )
 
     program = _program(
@@ -357,8 +362,8 @@ def test_b4800_mva(trial):
     rng = _rng("b4800", "mva", trial)
     code = rng.randint(0, 12)  # encoded length: moves code + 1 bytes
     memory = _string_memory(rng, 16, 300)
-    run = _interp("b4800", "mva").run(
-        {"a1": 300, "a2": 16, "len": code}, memory
+    run = _run(
+        "b4800", "mva", {"a1": 300, "a2": 16, "len": code}, memory
     )
 
     program = _program(

@@ -15,10 +15,13 @@ machine-specific simulator code.
 
 import pytest
 
+from repro.machines import fuzz
+from repro.machines.catalog import load_description
 from repro.machines.fuzz import fuzz_targets, run_campaign, run_trial
 from repro.machines.registry import EXTENSION_KEYS, machine_spec
 from repro.semantics import ExecutionEngine
-from repro.semantics.engine import ENGINE_NAMES
+from repro.semantics.engine import ENGINE_NAMES, EngineMismatchError
+from repro.semantics.vectorized import _observe
 
 TARGETS = fuzz_targets()
 
@@ -71,6 +74,55 @@ class TestDeterminism:
         # trial re-runs without raising, twice.
         run_trial("z80", "cpir", 7)
         run_trial("z80", "cpir", 7)
+
+
+class TestCampaignBatches:
+    def test_gate_mismatch_names_the_campaign_trial(
+        self, planted_vector_bug, monkeypatch
+    ):
+        # One executor runs a campaign's batches, so its gate numbers
+        # their lanes by campaign trial: with one lane per batch, the
+        # mismatch names the first trial the planted kernel gets wrong.
+        machine, case_name = "m68000", "cmpm"
+        case = fuzz._fuzz_case(machine, case_name)
+        description = load_description(machine, case_name)
+        kernel = ExecutionEngine(gate="off").executor(description)
+        reference = ExecutionEngine("interp").executor(description)
+
+        def wrong(trial):
+            _, inputs, memory = fuzz._draw(machine, case, "vectorized", trial)
+            batch = kernel.run_batch(
+                {name: [value] for name, value in inputs.items()}, [memory], n=1
+            )
+            return batch.lane_outcomes([0])[0][:3] != _observe(
+                reference, inputs, memory
+            )[:3]
+
+        first = next(trial for trial in range(TRIALS) if wrong(trial))
+        assert first > 0
+        monkeypatch.setattr(fuzz, "CAMPAIGN_LANES", 1)
+        with pytest.raises(EngineMismatchError, match=r"\(trial %d, " % first):
+            run_campaign(machine, case_name, TRIALS)
+
+    def test_campaign_draws_the_states_run_trial_replays(self, monkeypatch):
+        # Every campaign lane is the state its coordinates replay: the
+        # simulator comparison of each batched lane sees the inputs and
+        # memory run_trial draws for that trial.
+        seen = []
+        compare = fuzz._compare
+
+        def spy(machine, case, engine, trial, draw, run):
+            seen.append((trial, draw[1], draw[2], run))
+            return compare(machine, case, engine, trial, draw, run)
+
+        monkeypatch.setattr(fuzz, "CAMPAIGN_LANES", 3)
+        monkeypatch.setattr(fuzz, "_compare", spy)
+        assert run_campaign("z80", "cpir", 8) == 8
+        batched, seen[:] = list(seen), []
+        for trial in range(8):
+            run_trial("z80", "cpir", trial)
+        assert [entry[0] for entry in batched] == list(range(8))
+        assert batched == seen
 
 
 @pytest.mark.slow

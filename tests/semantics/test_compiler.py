@@ -3,7 +3,7 @@
 The vectorized engine lowers each description to a lane-masked Python
 kernel.  It is only trustworthy because (a) it reproduces the
 interpreter's observable behaviour *exactly* — results, step counts,
-and every error message — for a single trial and on every lane of a
+and every error message — on a one-lane batch and on every lane of a
 wide batch, and (b) the differential gate catches it if it ever stops
 doing so.  The planted-miscompile tests prove (b) is not vacuous: they
 break the lowering on purpose and watch the gate fire.
@@ -68,18 +68,18 @@ def assert_parity(description, inputs, memory=None, max_steps=200_000):
     Returns the interpreter's observation for further checks.
     """
 
-    def fresh():
-        return dict(memory) if memory else None
+    def lanes(n):
+        return None if memory is None else [dict(memory)] * n
 
     interp = Interpreter(description, max_steps=max_steps)
     vector = VectorizedDescription(description, max_steps=max_steps)
-    want = observe(lambda: interp.run(inputs, fresh()))
-    assert observe(lambda: vector.run(inputs, fresh())) == want
-    batch = vector.run_batch(
-        {name: [value] * LANES for name, value in inputs.items()}, fresh(), n=LANES
-    )
-    for lane in range(LANES):
-        assert observe(lambda: batch.lane_raise_or_result(lane)) == want
+    want = observe(lambda: interp.run(inputs, dict(memory or {})))
+    for n in (1, LANES):
+        batch = vector.run_batch(
+            {name: [value] * n for name, value in inputs.items()}, lanes(n), n=n
+        )
+        for lane in range(n):
+            assert observe(lambda: batch.lane_raise_or_result(lane)) == want
     return want
 
 
@@ -375,13 +375,14 @@ class TestDifferentialGate:
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine().executor(desc)
         with pytest.raises(EngineMismatchError) as excinfo:
-            executor.run({"x": 5})
+            executor.run_batch({"x": [5]}, n=1)
         assert "t.op" in str(excinfo.value)
 
     def test_gate_off_lets_the_miscompile_through(self, planted_vector_bug):
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine(gate="off").executor(desc)
-        assert executor.run({"x": 5}).outputs == (6,)
+        batch = executor.run_batch({"x": [5]}, n=1)
+        assert batch.lane_raise_or_result(0).outputs == (6,)
 
     def test_verify_binding_raises_before_any_verdict(self, planted_vector_bug):
         # End to end: a verification run on a real analysis must refuse

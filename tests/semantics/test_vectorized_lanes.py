@@ -18,7 +18,7 @@ from repro.semantics import (
     VectorizedDescription,
 )
 from repro.semantics.engine import ExecutionEngine
-from repro.semantics.vectorized import _observe
+from repro.semantics.vectorized import HAVE_NUMPY, _observe
 
 COUNTER = parse_description(
     """
@@ -106,7 +106,7 @@ class TestExitMasks:
                 "c": [lane["c"] for lane in lanes],
                 "n": [lane["n"] for lane in lanes],
             },
-            memory,
+            [memory] * 4,
             n=4,
         )
         got = batch_outcomes(result)
@@ -123,7 +123,7 @@ class TestExitMasks:
         engine = VectorizedDescription(COUNTER)
         counts = list(range(8))
         result = engine.run_batch(
-            {"n": counts, "acc": [100] * len(counts)}, {}, n=len(counts)
+            {"n": counts, "acc": [100] * len(counts)}, n=len(counts)
         )
         got = batch_outcomes(result)
         lanes = [{"n": n, "acc": 100} for n in counts]
@@ -151,7 +151,7 @@ class TestLaneOutcomes:
         ]
         result = engine.run_batch(
             {name: [lane[name] for lane in lanes] for name in "pcn"},
-            memory,
+            [memory] * len(lanes),
             n=len(lanes),
         )
         order = [4, 1, 3, 1, 0]
@@ -170,7 +170,7 @@ class TestStepLimit:
         counts = [0, 3, 200, 5, 400]
         lanes = [{"n": n, "acc": 0} for n in counts]
         result = engine.run_batch(
-            {"n": counts, "acc": [0] * len(counts)}, {}, n=len(counts)
+            {"n": counts, "acc": [0] * len(counts)}, n=len(counts)
         )
         got = batch_outcomes(result)
         assert got == scalar_reference(
@@ -188,7 +188,7 @@ class TestStepLimit:
     def test_raising_lane_does_not_poison_neighbours(self):
         """A lane that dies mid-loop leaves other lanes' state intact."""
         engine = VectorizedDescription(COUNTER, max_steps=40)
-        result = engine.run_batch({"n": [1000, 2], "acc": [0, 50]}, {}, n=2)
+        result = engine.run_batch({"n": [1000, 2], "acc": [0, 50]}, n=2)
         assert result.errors[0] is not None
         assert result.errors[1] is None
         assert result.lane_raise_or_result(1).outputs == (56,)
@@ -200,7 +200,7 @@ class TestDegenerateBatch:
         memory = {12: 9, 14: 3}
         inputs = {"p": 10, "c": 3, "n": 8}
         result = engine.run_batch(
-            {name: [value] for name, value in inputs.items()}, memory, n=1
+            {name: [value] for name, value in inputs.items()}, [memory], n=1
         )
         assert result.n == 1
         scalar = Interpreter(SCANNER).run(dict(inputs), dict(memory))
@@ -246,7 +246,7 @@ class TestFusedLoops:
         lanes = [{"p": 10, "n": 8, "c": c} for c in (0, 3, 7, 99)]
         result = engine.run_batch(
             {name: [lane[name] for lane in lanes] for name in ("p", "n", "c")},
-            memory,
+            [memory] * len(lanes),
             n=len(lanes),
         )
         got = batch_outcomes(result)
@@ -309,7 +309,7 @@ class TestInterpreterFallback:
         n = len(inputs["x"])
         with obs.collecting() as registry:
             result = VectorizedDescription(SQUARE_STORE).run_batch(
-                inputs, memory, n=n
+                inputs, [memory] * n, n=n
             )
         assert (
             obs.counter_value(registry.snapshot(), "repro_vector_fallback_total")
@@ -327,7 +327,7 @@ class TestInterpreterFallback:
             SQUARE_STORE
         )
         with obs.collecting() as registry:
-            assert gated.run_batch(inputs, memory, n=n).n == n
+            assert gated.run_batch(inputs, [memory] * n, n=n).n == n
         # The batch already ran lane by lane on the interpreter, so the
         # gate has nothing to cross-check.
         assert (
@@ -335,20 +335,58 @@ class TestInterpreterFallback:
             == 0
         )
 
-    def test_scalar_run_on_the_interpreter_is_not_rechecked(self):
-        # A scalar run is an N=1 batch, gated on the batch path: one the
-        # lanes refuse runs on the interpreter and is not run again.
-        gated = ExecutionEngine(name="vectorized", gate="always").executor(
-            SQUARE_STORE
-        )
-        inputs = {"x": 2**62, "a": 10, "b": 10}
+    def test_scalar_run_on_the_interpreter_is_not_rechecked(self, request):
+        # A scalar run is one trial on the executor's interpreter: it
+        # never reaches the kernel, so neither a planted lowering bug
+        # nor the gate nor the fallback counter sees it.
+        if HAVE_NUMPY:
+            request.getfixturevalue("planted_vector_bug")
+        gated = ExecutionEngine(name="vectorized", gate="always").executor(SUB_ONE)
         with obs.collecting() as registry:
-            result = gated.run(inputs)
+            result = gated.run({"x": 5})
             snapshot = registry.snapshot()
-        assert result == Interpreter(SQUARE_STORE).run(inputs)
-        assert result.outputs == (2**124, 0)
-        assert obs.counter_value(snapshot, "repro_vector_fallback_total") == 1
+        assert result == Interpreter(SUB_ONE).run({"x": 5})
+        assert result.outputs == (4,)
+        assert obs.counter_value(snapshot, "repro_vector_fallback_total") == 0
         assert obs.counter_value(snapshot, "repro_engine_gate_checks_total") == 0
+
+
+#: (inputs, initial memory) per lane: each lane writes and reads cells
+#: only its own memory holds.
+PER_LANE = [
+    ({"x": 3, "a": 10, "b": 20}, {20: 7}),
+    ({"x": 4, "a": 11, "b": 11}, {}),
+    ({"x": 5, "a": 30, "b": 41}, {40: 1, 41: 2}),
+    ({"x": 6, "a": 12, "b": 12}, None),
+]
+
+#: one more lane the numpy lanes refuse, so its batch runs on the
+#: interpreter: an input past 2**61, then a memory key past 2**16.
+REFUSED_LANES = {
+    "none": [],
+    "input 2**62": [({"x": 2**62, "a": 13, "b": 13}, {})],
+    "memory key 70000": [({"x": 7, "a": 14, "b": 70_000}, {70_000: 9})],
+}
+
+
+class TestPerLaneMemory:
+    @pytest.mark.parametrize("refused", REFUSED_LANES.values(), ids=list(REFUSED_LANES))
+    @pytest.mark.parametrize("engine", ["interp", "vectorized"])
+    def test_each_lane_runs_on_its_own_memory(self, engine, refused):
+        lanes = PER_LANE + refused
+        memories = [None if cells is None else dict(cells) for _, cells in lanes]
+        columns = {name: [inputs[name] for inputs, _ in lanes] for name in "xab"}
+        executor = ExecutionEngine(engine, gate="always").executor(SQUARE_STORE)
+        result = executor.run_batch(columns, memories)
+        reference = Interpreter(SQUARE_STORE)
+        assert result.n == len(lanes)
+        assert [outcome[:3] for outcome in result.lane_outcomes(range(result.n))] == [
+            _observe(reference, inputs, cells)[:3] for inputs, cells in lanes
+        ]
+        # The caller's memories are initial states, never written.
+        assert memories == [cells for _, cells in lanes]
+        kernel = engine == "vectorized" and HAVE_NUMPY and not refused
+        assert result.backend == ("numpy" if kernel else "interp")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +409,7 @@ SUB_ONE = parse_description(
 
 
 class TestVectorizedGate:
-    def test_gate_fires_on_scalar_run(self, planted_vector_bug):
+    def test_gate_fires_on_one_lane_batch(self, planted_vector_bug):
         from repro.semantics.engine import (
             EngineMismatchError,
             ExecutionEngine,
@@ -379,7 +417,7 @@ class TestVectorizedGate:
 
         executor = ExecutionEngine(name="vectorized").executor(SUB_ONE)
         with pytest.raises(EngineMismatchError) as excinfo:
-            executor.run({"x": 5})
+            executor.run_batch({"x": [5]}, n=1)
         assert "vectorized engine disagrees with" in str(excinfo.value)
         assert "t.op" in str(excinfo.value)
 
@@ -391,7 +429,7 @@ class TestVectorizedGate:
 
         executor = ExecutionEngine(name="vectorized").executor(SUB_ONE)
         with pytest.raises(EngineMismatchError) as excinfo:
-            executor.run_batch({"x": [5, 9, 13]}, {}, n=3)
+            executor.run_batch({"x": [5, 9, 13]}, n=3)
         assert "vectorized engine disagrees with" in str(excinfo.value)
 
     def test_gate_off_lets_the_bug_through(self, planted_vector_bug):
@@ -400,7 +438,8 @@ class TestVectorizedGate:
         executor = ExecutionEngine(name="vectorized", gate="off").executor(
             SUB_ONE
         )
-        assert executor.run({"x": 5}).outputs == (6,)
+        batch = executor.run_batch({"x": [5]}, n=1)
+        assert batch.lane_raise_or_result(0).outputs == (6,)
 
     def test_scalar_engines_are_immune(self, planted_vector_bug):
         from repro.semantics.engine import ExecutionEngine

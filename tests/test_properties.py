@@ -165,9 +165,9 @@ def _observe_all_engines(description, inputs, memory):
         VectorizedDescription,
     )
 
-    def observe(executor):
+    def observe(run):
         try:
-            result = executor.run(dict(inputs), dict(memory))
+            result = run()
             return (
                 "ok",
                 result.outputs,
@@ -178,9 +178,14 @@ def _observe_all_engines(description, inputs, memory):
         except StepLimitExceeded as e:
             return ("raise", type(e).__name__, str(e))
 
+    interp = Interpreter(description, max_steps=400)
+    # The kernel runs only batches: one lane holds this trial.
+    batch = VectorizedDescription(description, max_steps=400).run_batch(
+        {name: [value] for name, value in inputs.items()}, [dict(memory)], n=1
+    )
     return [
-        observe(factory(description, max_steps=400))
-        for factory in (Interpreter, VectorizedDescription)
+        observe(lambda: interp.run(dict(inputs), dict(memory))),
+        observe(lambda: batch.lane_raise_or_result(0)),
     ]
 
 

@@ -126,16 +126,20 @@ def _load(name, text):
 
 
 #: vectorized execution with the always-on differential gate: every
-#: fuzzed variant is run by both engines and cross-checked, so this
-#: suite doubles as an engine-equivalence corpus.
+#: fuzzed variant runs its scenarios as one kernel batch, cross-checked
+#: lane by lane against the interpreter, so this suite doubles as an
+#: engine-equivalence corpus.
 ENGINE = ExecutionEngine()
 
 
 def _behaviour(description, scenarios):
-    executor = ENGINE.executor(description)
+    batch = ENGINE.executor(description).run_batch(
+        {name: [s.inputs[name] for s in scenarios] for name in scenarios[0].inputs},
+        [scenario.memory for scenario in scenarios],
+    )
     results = []
-    for scenario in scenarios:
-        run = executor.run(scenario.inputs, scenario.memory)
+    for lane in range(batch.n):
+        run = batch.lane_raise_or_result(lane)
         results.append((run.outputs, tuple(sorted(run.memory.items()))))
     return results
 

@@ -18,8 +18,9 @@ from repro.semantics.randomgen import generate_scenarios
 
 TRIALS = 25
 
-#: vectorized execution, cross-checked against the interpreter on every
-#: trial (the gate defaults to "always" — see repro.semantics.engine).
+#: vectorized execution, one kernel batch per description, cross-checked
+#: against the interpreter on every lane (the gate defaults to "always"
+#: — see repro.semantics.engine).
 ENGINE = ExecutionEngine()
 
 
@@ -33,16 +34,16 @@ def test_script_steps_preserve_semantics(module):
     binding = outcome.binding
 
     scenarios = generate_scenarios(module.SCENARIO, TRIALS, seed=42)
-    final_operator = binding.final_operator
-    original_operator = _original_operator(module)
-    interp_before = ENGINE.executor(original_operator)
-    interp_after = ENGINE.executor(final_operator)
-    for scenario in scenarios:
-        inputs = _clip(scenario.inputs, binding)
-        before = interp_before.run(inputs, scenario.memory)
-        after = interp_after.run(inputs, scenario.memory)
-        assert before.outputs == after.outputs, inputs
-        assert before.memory == after.memory, inputs
+    lanes = [_clip(scenario.inputs, binding) for scenario in scenarios]
+    columns = {name: [inputs[name] for inputs in lanes] for name in lanes[0]}
+    memories = [scenario.memory for scenario in scenarios]
+    before = ENGINE.executor(_original_operator(module)).run_batch(columns, memories)
+    after = ENGINE.executor(binding.final_operator).run_batch(columns, memories)
+    for lane, inputs in enumerate(lanes):
+        want = before.lane_raise_or_result(lane)
+        got = after.lane_raise_or_result(lane)
+        assert want.outputs == got.outputs, inputs
+        assert want.memory == got.memory, inputs
 
 
 def _clip(inputs, binding):
