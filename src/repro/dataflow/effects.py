@@ -13,8 +13,8 @@ its language bans register aliasing precisely to keep this simple).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Set
 
 from ..isdl import ast
 
@@ -51,7 +51,12 @@ class Effects:
 
 
 class EffectAnalysis:
-    """Effect summaries for all routines of one description."""
+    """Effect summaries for all routines of one description.
+
+    Statements and expressions add what they read and write into two
+    sets (:meth:`_walk_stmt`, :meth:`_walk_expr`), so an :class:`Effects`
+    is built once per query and per routine summary, not per statement.
+    """
 
     def __init__(self, description: ast.Description):
         self._description = description
@@ -80,39 +85,16 @@ class EffectAnalysis:
 
     def stmt_effects(self, stmt: ast.Stmt) -> Effects:
         """Reads and writes of one statement, including nested bodies."""
-        if isinstance(stmt, ast.Assign):
-            effects = self.expr_effects(stmt.expr)
-            if isinstance(stmt.target, ast.MemRead):
-                addr = self.expr_effects(stmt.target.addr)
-                return Effects(
-                    effects.reads | addr.reads,
-                    effects.writes | addr.writes | {MEM},
-                )
-            return Effects(effects.reads, effects.writes | {stmt.target.name})
-        if isinstance(stmt, (ast.ExitWhen, ast.Assert)):
-            return self.expr_effects(stmt.cond)
-        if isinstance(stmt, ast.Output):
-            combined = Effects(frozenset(), frozenset({OUT}))
-            for expr in stmt.exprs:
-                combined = combined | self.expr_effects(expr)
-            return combined
-        if isinstance(stmt, ast.Input):
-            return Effects(frozenset(), frozenset(stmt.names))
-        if isinstance(stmt, ast.If):
-            combined = self.expr_effects(stmt.cond)
-            for inner in stmt.then + stmt.els:
-                combined = combined | self.stmt_effects(inner)
-            return combined
-        if isinstance(stmt, ast.Repeat):
-            combined = Effects()
-            for inner in stmt.body:
-                combined = combined | self.stmt_effects(inner)
-            return combined
-        raise TypeError(f"no effects for {type(stmt).__name__}")
+        reads: Set[str] = set()
+        writes: Set[str] = set()
+        self._walk_stmt(stmt, reads, writes)
+        return Effects(frozenset(reads), frozenset(writes))
 
     def expr_is_pure(self, expr: ast.Expr) -> bool:
         """True when evaluating ``expr`` writes no state."""
-        return self.expr_effects(expr).pure
+        writes: Set[str] = set()
+        self._walk_expr(expr, set(), writes)
+        return not writes
 
     # ------------------------------------------------------------------
     # summary fixpoint
@@ -130,21 +112,56 @@ class EffectAnalysis:
                     changed = True
 
     def _routine_body_effects(self, routine: ast.RoutineDecl) -> Effects:
-        combined = Effects()
+        reads: Set[str] = set()
+        writes: Set[str] = set()
         for stmt in routine.body:
-            combined = combined | self.stmt_effects(stmt)
+            self._walk_stmt(stmt, reads, writes)
         # Parameters and the return slot are locals, not global effects.
         local = set(routine.params) | {routine.name}
-        return Effects(
-            frozenset(combined.reads - local),
-            frozenset(combined.writes - local),
-        )
+        return Effects(frozenset(reads - local), frozenset(writes - local))
+
+    def _walk_stmt(self, stmt: ast.Stmt, reads: Set[str], writes: Set[str]) -> None:
+        if isinstance(stmt, ast.Assign):
+            self._walk_expr(stmt.expr, reads, writes)
+            target = stmt.target
+            if isinstance(target, ast.MemRead):
+                self._walk_expr(target.addr, reads, writes)
+                writes.add(MEM)
+            else:
+                writes.add(target.name)
+            return
+        if isinstance(stmt, (ast.ExitWhen, ast.Assert)):
+            self._walk_expr(stmt.cond, reads, writes)
+            return
+        if isinstance(stmt, ast.Output):
+            writes.add(OUT)
+            for expr in stmt.exprs:
+                self._walk_expr(expr, reads, writes)
+            return
+        if isinstance(stmt, ast.Input):
+            writes.update(stmt.names)
+            return
+        if isinstance(stmt, ast.If):
+            self._walk_expr(stmt.cond, reads, writes)
+            for inner in stmt.then + stmt.els:
+                self._walk_stmt(inner, reads, writes)
+            return
+        if isinstance(stmt, ast.Repeat):
+            for inner in stmt.body:
+                self._walk_stmt(inner, reads, writes)
+            return
+        raise TypeError(f"no effects for {type(stmt).__name__}")
 
     def _walk_expr(self, expr: ast.Expr, reads: Set[str], writes: Set[str]) -> None:
-        if isinstance(expr, ast.Const):
-            return
+        # The commonest node classes are tested first.
         if isinstance(expr, ast.Var):
             reads.add(expr.name)
+            return
+        if isinstance(expr, ast.BinOp):
+            self._walk_expr(expr.left, reads, writes)
+            self._walk_expr(expr.right, reads, writes)
+            return
+        if isinstance(expr, ast.Const):
             return
         if isinstance(expr, ast.MemRead):
             reads.add(MEM)
@@ -161,10 +178,6 @@ class EffectAnalysis:
                 return
             reads.update(summary.reads)
             writes.update(summary.writes)
-            return
-        if isinstance(expr, ast.BinOp):
-            self._walk_expr(expr.left, reads, writes)
-            self._walk_expr(expr.right, reads, writes)
             return
         if isinstance(expr, ast.UnOp):
             self._walk_expr(expr.operand, reads, writes)

@@ -1,4 +1,4 @@
-"""Hand-written lexer for the ISDL description language.
+"""Lexer for the ISDL description language.
 
 The lexer understands the notational conventions of the paper's figures:
 
@@ -8,17 +8,42 @@ The lexer understands the notational conventions of the paper's figures:
 * identifiers may contain dots (``Src.Base``, ``scasb.execute``),
 * ``<hi:lo>`` width suffixes reuse ``<``/``>`` tokens; disambiguation from
   comparison operators is the parser's job.
+
+One compiled master expression, with one named alternative per lexeme
+class, scans the text; a position it cannot match raises a located
+:class:`~repro.isdl.errors.LexError`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789.")
+#: One alternative per lexeme class, tried in order at each position.  An
+#: identifier is ASCII and may contain dots but not end with one (a
+#: trailing dot is a typo like ``zf <-.0`` in the paper's OCR); a number
+#: is a run of Unicode decimal digits, the digits ``int`` reads.
+_MASTER = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|!(?P<comment>[^\n]*)"
+    r"|(?P<ident>[A-Za-z_](?:[A-Za-z0-9_.]*[A-Za-z0-9_])?)"
+    r"|(?P<number>\d+)"
+    r"|'(?P<squote>[^'\n]*)'"
+    r'|"(?P<dquote>[^"\n]*)"'
+    r"|(?P<punct>\*\*|:=|<-|<>|<=|>=|[<>\[\](),;:+\-*=←])"
+)
+
+#: Punctuation spelling -> (kind, token value).  A punctuation kind's
+#: value is its spelling; the paper's arrow ``←`` lexes as ``<-``.
+_PUNCT = {
+    kind.value: (kind, kind.value)
+    for kind in TokenKind
+    if not kind.value[0].isalpha()
+}
+_PUNCT["←"] = (TokenKind.ASSIGN, "<-")
 
 
 class Lexer:
@@ -33,9 +58,6 @@ class Lexer:
 
     def __init__(self, text: str):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._col = 1
         #: line number -> comment text (without the leading ``!``).
         self.comments: dict = {}
         #: lines on which at least one token starts.
@@ -43,146 +65,52 @@ class Lexer:
 
     def tokens(self) -> List[Token]:
         """Lex the whole input and return all tokens including EOF."""
-        return list(self._iter_tokens())
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._text):
-            return ""
-        return self._text[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._text):
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
+        text = self._text
+        comments = self.comments
+        token_lines = self.token_lines
+        result: List[Token] = []
+        match_at = _MASTER.match
+        pos = 0
+        line = 1
+        line_start = 0  # index of the current line's first character
+        end = len(text)
+        while pos < end:
+            match = match_at(text, pos)
+            if match is None:
+                location = SourceLocation(line, pos - line_start + 1)
+                token_lines.add(line)
+                if text[pos] in "'\"":
+                    raise LexError("unterminated string literal", location)
+                raise LexError(f"unexpected character {text[pos]!r}", location)
+            group = match.lastgroup
+            lexeme = match.group(group)
+            if group == "space":
+                newlines = lexeme.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + lexeme.rindex("\n") + 1
+            elif group == "comment":
+                comment = lexeme.strip()
+                if comment:
+                    existing = comments.get(line)
+                    comments[line] = f"{existing}; {comment}" if existing else comment
             else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and ``!`` comments."""
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "!":
-                comment_line = self._line
-                start = self._pos + 1
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                text = self._text[start:self._pos].strip()
-                if text:
-                    existing = self.comments.get(comment_line)
-                    self.comments[comment_line] = (
-                        f"{existing}; {text}" if existing else text
-                    )
-            else:
-                return
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            loc = self._location()
-            ch = self._peek()
-            if not ch:
-                yield Token(TokenKind.EOF, "", loc)
-                return
-            self.token_lines.add(loc.line)
-            if ch in _IDENT_START:
-                yield self._lex_ident(loc)
-            elif ch.isdigit():
-                yield self._lex_number(loc)
-            elif ch in "'\"":
-                yield self._lex_string(loc, ch)
-            else:
-                yield self._lex_punct(loc)
-
-    def _lex_ident(self, loc: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek() in _IDENT_CONT and self._peek():
-            self._advance()
-        # A trailing dot is not part of the identifier (it would be a typo
-        # like ``zf <-.0`` in the paper's OCR); back off over trailing dots.
-        text = self._text[start:self._pos]
-        while text.endswith("."):
-            text = text[:-1]
-            self._pos -= 1
-            self._col -= 1
-        kind = KEYWORDS.get(text.lower(), TokenKind.IDENT)
-        value = text.lower() if kind is not TokenKind.IDENT else text
-        return Token(kind, value, loc)
-
-    def _lex_number(self, loc: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        return Token(TokenKind.NUMBER, int(self._text[start:self._pos]), loc)
-
-    def _lex_string(self, loc: SourceLocation, quote: str) -> Token:
-        self._advance()  # opening quote
-        start = self._pos
-        while self._peek() and self._peek() != quote:
-            if self._peek() == "\n":
-                raise LexError("unterminated string literal", loc)
-            self._advance()
-        if not self._peek():
-            raise LexError("unterminated string literal", loc)
-        text = self._text[start:self._pos]
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, text, loc)
-
-    def _lex_punct(self, loc: SourceLocation) -> Token:
-        two = self._peek() + self._peek(1)
-        if two == "**":
-            self._advance(2)
-            return Token(TokenKind.BANNER, "**", loc)
-        if two == ":=":
-            self._advance(2)
-            return Token(TokenKind.DEFINE, ":=", loc)
-        if two == "<-":
-            self._advance(2)
-            return Token(TokenKind.ASSIGN, "<-", loc)
-        if two == "<>":
-            self._advance(2)
-            return Token(TokenKind.NEQ, "<>", loc)
-        if two == "<=":
-            self._advance(2)
-            return Token(TokenKind.LE, "<=", loc)
-        if two == ">=":
-            self._advance(2)
-            return Token(TokenKind.GE, ">=", loc)
-        ch = self._peek()
-        if ch == "←":  # Unicode left arrow, as printed in the paper
-            self._advance()
-            return Token(TokenKind.ASSIGN, "<-", loc)
-        singles = {
-            "<": TokenKind.LANGLE,
-            ">": TokenKind.RANGLE,
-            "[": TokenKind.LBRACKET,
-            "]": TokenKind.RBRACKET,
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            ",": TokenKind.COMMA,
-            ";": TokenKind.SEMI,
-            ":": TokenKind.COLON,
-            "+": TokenKind.PLUS,
-            "-": TokenKind.MINUS,
-            "*": TokenKind.STAR,
-            "=": TokenKind.EQ,
-        }
-        if ch in singles:
-            self._advance()
-            return Token(singles[ch], ch, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
+                location = SourceLocation(line, pos - line_start + 1)
+                token_lines.add(line)
+                if group == "ident":
+                    kind = KEYWORDS.get(lexeme.lower(), TokenKind.IDENT)
+                    value = lexeme if kind is TokenKind.IDENT else lexeme.lower()
+                    result.append(Token(kind, value, location))
+                elif group == "punct":
+                    kind, value = _PUNCT[lexeme]
+                    result.append(Token(kind, value, location))
+                elif group == "number":
+                    result.append(Token(TokenKind.NUMBER, int(lexeme), location))
+                else:
+                    result.append(Token(TokenKind.STRING, lexeme, location))
+            pos = match.end()
+        result.append(Token(TokenKind.EOF, "", SourceLocation(line, pos - line_start + 1)))
+        return result
 
 
 def tokenize(text: str) -> List[Token]:

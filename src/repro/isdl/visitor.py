@@ -13,12 +13,18 @@ instead of mutating them.  This module provides the shared machinery:
 A *path* is a tuple of steps; each step is ``(field_name, index)`` where
 ``index`` is ``None`` for a plain node field and an integer for an element
 of a tuple-valued field.  The empty path denotes the root.
+
+Traversal reads one table, built once from the AST dataclass annotations,
+of each node class's node-bearing fields (one node or a tuple of nodes),
+so visiting a node never inspects a name, number or comment field.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from operator import is_not
 from typing import Callable, Iterator, List, Optional, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 from . import ast
 
@@ -50,42 +56,62 @@ NODE_TYPES = (
 )
 
 
-#: Each node class's field names, read once instead of calling
-#: ``dataclasses.fields`` on every node visited.  ``location`` is source
-#: metadata, never a node, and is left out.
-_FIELDS = {
-    cls: tuple(
-        field.name
-        for field in dataclasses.fields(cls)
-        if field.name != "location"
+def _names_node(annotation: object) -> bool:
+    """True when a resolved annotation names an AST node class."""
+    return annotation in NODE_TYPES or any(
+        _names_node(arg) for arg in get_args(annotation)
     )
-    for cls in NODE_TYPES
-}
+
+
+def _node_fields(cls: type) -> Tuple[Tuple[str, bool, PathStep], ...]:
+    """The node-bearing fields of ``cls``, last field first."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (field.name, get_origin(hints[field.name]) is tuple, (field.name, None))
+        for field in reversed(dataclasses.fields(cls))
+        if _names_node(hints[field.name])
+    )
+
+
+#: Each node class's node-bearing fields, read once from the dataclass
+#: annotations and kept last field first, the order :func:`walk` pushes
+#: them.  An entry is ``(name, many, step)``: ``many`` marks a tuple of
+#: nodes, otherwise the field holds one node (or None) at path ``step``.
+#: ``location`` and the name, number and comment fields hold no node.
+_NODE_FIELDS = {cls: _node_fields(cls) for cls in NODE_TYPES}
 
 
 def children(node: object) -> List[Tuple[PathStep, object]]:
     """Enumerate direct AST children of ``node`` with their path steps."""
     result: List[Tuple[PathStep, object]] = []
-    for name in _FIELDS.get(type(node), ()):
+    for name, many, step in reversed(_NODE_FIELDS.get(type(node), ())):
         value = getattr(node, name)
-        if type(value) in _FIELDS:
-            result.append(((name, None), value))
-        elif isinstance(value, tuple):
-            for index, item in enumerate(value):
-                if type(item) in _FIELDS:
-                    result.append(((name, index), item))
+        if many:
+            result.extend(((name, index), item) for index, item in enumerate(value))
+        elif value is not None:
+            result.append((step, value))
     return result
 
 
 def walk(node: object, path: Path = ()) -> Iterator[Tuple[Path, object]]:
     """Preorder traversal of the tree rooted at ``node``."""
     stack = [(path, node)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        path, node = stack.pop()
+        path, node = pop()
         yield path, node
+        fields = _NODE_FIELDS.get(type(node))
+        if not fields:
+            continue
         # Pushed last to first, so the first child is yielded next.
-        for step, child in reversed(children(node)):
-            stack.append((path + (step,), child))
+        for name, many, step in fields:
+            value = getattr(node, name)
+            if many:
+                for index in range(len(value) - 1, -1, -1):
+                    push((path + ((name, index),), value[index]))
+            elif value is not None:
+                push((path + (step,), value))
 
 
 def node_at(root: object, path: Path) -> object:
@@ -186,20 +212,22 @@ def strip_comments(node: object) -> object:
     semantics, so two descriptions differing only in comments are equal.
     A subtree with no comment to drop is returned as it is.
     """
+    fields = _NODE_FIELDS.get(type(node))
+    if fields is None:
+        return node
     updates = {}
-    for name in _FIELDS.get(type(node), ()):
+    if getattr(node, "comment", None) is not None:
+        updates["comment"] = None
+    for name, many, _step in fields:
         value = getattr(node, name)
-        if name == "comment":
-            if value is not None:
-                updates[name] = None
-        elif type(value) in _FIELDS:
+        if many:
+            items = tuple(map(strip_comments, value))
+            if any(map(is_not, items, value)):
+                updates[name] = items
+        elif value is not None:
             stripped = strip_comments(value)
             if stripped is not value:
                 updates[name] = stripped
-        elif isinstance(value, tuple):
-            items = tuple(strip_comments(item) for item in value)
-            if any(new is not old for new, old in zip(items, value)):
-                updates[name] = items
     if not updates:
         return node
     return dataclasses.replace(node, **updates)

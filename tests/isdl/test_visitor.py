@@ -1,9 +1,12 @@
 """Tests for the traversal / functional-update infrastructure."""
 
 import dataclasses
+import re
+import typing
 
 import pytest
 
+from repro.analyses import REGISTRY
 from repro.isdl import (
     ast,
     find_all,
@@ -18,9 +21,10 @@ from repro.isdl import (
     walk,
 )
 from repro.isdl.errors import SourceLocation
-from repro.isdl.visitor import NODE_TYPES, children, splice_at
+from repro.isdl.visitor import _NODE_FIELDS, NODE_TYPES, children, splice_at
 from repro.lint import lint_targets
 
+from tests.transform.test_catalog_digests import replayed_forms
 from tests.transform.test_fuzz_preservation import CORPUS, _load, fuzz_variants
 
 
@@ -39,15 +43,67 @@ def _reference_walk(node, path=()):
                     yield from _reference_walk(item, path + ((field.name, index),))
 
 
-def _same_walk(root):
+def _reference_strip(node):
+    """Comment stripping over ``dataclasses.fields``: the reference the
+    field-table ``strip_comments`` must equal."""
+    if not isinstance(node, NODE_TYPES):
+        return node
+    updates = {}
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if field.name == "comment":
+            updates["comment"] = None
+        elif isinstance(value, NODE_TYPES):
+            updates[field.name] = _reference_strip(value)
+        elif isinstance(value, tuple):
+            updates[field.name] = tuple(_reference_strip(item) for item in value)
+    return dataclasses.replace(node, **updates)
+
+
+def _same_walk(root, where=""):
     """``walk`` and the reference yield the same (path, node) sequence."""
     ours = list(walk(root))
     reference = list(_reference_walk(root))
-    assert [path for path, _ in ours] == [path for path, _ in reference]
-    assert all(a is b for (_, a), (_, b) in zip(ours, reference))
+    assert [path for path, _ in ours] == [path for path, _ in reference], where
+    assert all(a is b for (_, a), (_, b) in zip(ours, reference)), where
+
+
+def _names_node_class(annotation):
+    """True when an annotation's text names an AST node class, directly
+    or through an alias such as ``Expr`` or ``Width``."""
+    for word in re.findall(r"[A-Za-z_]\w*", annotation):
+        named = getattr(ast, word, None)
+        if named in NODE_TYPES or any(
+            arg in NODE_TYPES for arg in typing.get_args(named)
+        ):
+            return True
+    return False
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("cls", NODE_TYPES, ids=lambda cls: cls.__name__)
+    def test_table_holds_exactly_the_node_annotated_fields(self, cls):
+        expected = [
+            (field.name, field.type.startswith("Tuple["), (field.name, None))
+            for field in dataclasses.fields(cls)
+            if _names_node_class(field.type)
+        ]
+        assert list(reversed(_NODE_FIELDS[cls])) == expected
 
 
 class TestWalkMatchesReference:
+    def test_every_catalog_replay_step(self):
+        forms = 0
+        for name, side, step, description in replayed_forms():
+            where = f"{name} {side} step {step}"
+            _same_walk(description, where)
+            stripped = strip_comments(description)
+            assert stripped == _reference_strip(description), where
+            assert strip_comments(stripped) is stripped, where
+            forms += 1
+        # Two input descriptions per analysis, then one form per step.
+        assert forms > 2 * len(REGISTRY)
+
     @pytest.mark.parametrize("target", sorted(lint_targets()))
     def test_catalog_description(self, target):
         description, _suppressions = lint_targets()[target]()

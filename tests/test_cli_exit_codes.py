@@ -110,6 +110,19 @@ class TestFindings:
         assert main(["lint", str(path)]) == 1
         assert capsys.readouterr().err
 
+    def test_lint_locates_a_character_that_is_not_a_decimal_digit(
+        self, tmp_path, capsys
+    ):
+        # '\u00b2' is a digit to str.isdigit but not to int: a located
+        # lex error, not a crash.
+        path = tmp_path / "superscript.isdl"
+        path.write_text(
+            CLEAN_ISDL.replace("al <- al + 1", "al <- al + \u00b2"),
+            encoding="utf-8",
+        )
+        assert main(["lint", str(path)]) == 1
+        assert "8:24: unexpected character '\u00b2'" in capsys.readouterr().err
+
     def test_analyze_documented_failure(self, capsys):
         assert main(["analyze", "movc3_sassign_failure", "--no-verify"]) == 1
 
