@@ -12,12 +12,12 @@ overall step-count ranking correlates with the paper's
 import pytest
 from scipy import stats
 
-from repro.analyses import TABLE2
+from repro.analyses import REGISTRY, TABLE2
 from repro.analysis import format_table, table2_row
 
 from conftest import banner
 
-PAPER_STEPS = {module.__name__.rsplit(".", 1)[-1]: module.PAPER_STEPS for module in TABLE2}
+PAPER_STEPS = {spec.name: spec.paper_steps for spec in REGISTRY if spec.group == "table2"}
 
 
 @pytest.fixture(scope="module")

@@ -73,10 +73,9 @@ cmd_verify = cmd_batch
 
 
 def cmd_bench(args, _result) -> int:
-    from .analysis.bench import format_bench, run_bench, run_cache_bench
+    from .analysis.bench import format_bench, run_bench
 
-    run = run_cache_bench if args.cache else run_bench
-    text = format_bench(run(args.names, args.config))
+    text = format_bench(run_bench(args.names, args.config))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -12,9 +12,7 @@ IR-field routing map the code generator needs, and which machine
 library a binding belongs to — lives here, in one declarative
 :data:`REGISTRY` of :class:`AnalysisSpec` entries.  The batch runner's
 catalog, the code generator's binding database, and the ``table2``
-report all read the registry; the historical module-level
-``FIELD_MAP`` / ``PAPER_STEPS`` names are injected back into each
-module as thin aliases for compatibility.
+report all read the registry.
 
 ``TABLE2`` lists the eleven successful analyses in the paper's Table 2
 order; ``FAILURES`` the two documented failures (§4.3 movc3/sassign and
@@ -197,15 +195,6 @@ def codegen_specs(machine: str, extensions: bool = False) -> Tuple[AnalysisSpec,
 def _group(name: str) -> Tuple[ModuleType, ...]:
     return tuple(spec.module for spec in REGISTRY if spec.group == name)
 
-
-# Compatibility aliases: each module keeps its historical FIELD_MAP /
-# PAPER_STEPS names, now sourced from the registry above.
-for _spec in REGISTRY:
-    if _spec.field_map is not None:
-        _spec.module.FIELD_MAP = dict(_spec.field_map)
-    if _spec.paper_steps is not None:
-        _spec.module.PAPER_STEPS = _spec.paper_steps
-del _spec
 
 #: the eleven Table 2 rows, in the paper's order.
 TABLE2 = _group("table2")

@@ -18,7 +18,6 @@ runs — never a timing threshold.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -190,73 +189,6 @@ def run_bench(
                 _seconds(DEFAULT_ENGINE, "warm_seconds"), sum(symbolic_warm)
             ),
         },
-    }
-
-
-#: JSON schema identifier for the cache-effectiveness payload.
-CACHE_SCHEMA = "repro.bench-cache/1"
-
-
-def run_cache_bench(
-    names: Optional[Sequence[str]] = None,
-    config: Optional[RunConfig] = None,
-) -> Dict[str, object]:
-    """Cold-vs-warm timing of the incremental batch mode.
-
-    The plan comes from ``config`` (None: 240 trials, like
-    :func:`run_bench`); with no ``cache_dir`` the two runs share a
-    temporary store.
-
-    Runs the catalog twice against one provenance store: the first run
-    populates it (every entry replays and verifies), the second should
-    be almost pure cache.  The payload (committed as
-    ``BENCH_provenance.json``) records both wall clocks, the hit/miss
-    counters, the warm-over-cold speedup, and whether the two JSON
-    reports were byte-identical apart from the cache counters — the
-    contract ``repro batch`` promises.  As with the engine benchmark,
-    CI asserts the numbers exist, never a timing threshold.
-    """
-    import shutil
-    import tempfile
-
-    from .runner import run_batch
-
-    cfg = config if config is not None else _BENCH_DEFAULTS
-    own_dir = cfg.cache_dir is None
-    root = cfg.cache_dir or tempfile.mkdtemp(prefix="repro-cache-bench-")
-    try:
-        cold = run_batch(names=names, config=cfg.replace(cache_dir=root))
-        warm = run_batch(names=names, config=cfg.replace(cache_dir=root))
-    finally:
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
-
-    def _modulo_cache(report) -> str:
-        payload = json.loads(report.to_json())
-        payload.pop("cache", None)
-        payload.pop("metrics", None)
-        return json.dumps(payload, sort_keys=True)
-
-    speedup = cold.elapsed / warm.elapsed if warm.elapsed > 0 else None
-    return {
-        "schema": CACHE_SCHEMA,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "entries": len(cold.results),
-        "cold": {
-            "seconds": round(cold.elapsed, 4),
-            "hits": cold.cache_hits,
-            "misses": cold.cache_lookup_misses,
-        },
-        "warm": {
-            "seconds": round(warm.elapsed, 4),
-            "hits": warm.cache_hits,
-            "misses": warm.cache_lookup_misses,
-        },
-        "speedup": round(speedup, 2) if speedup is not None else None,
-        "reports_identical_modulo_cache": (
-            _modulo_cache(cold) == _modulo_cache(warm)
-        ),
     }
 
 

@@ -56,9 +56,10 @@ class Binding:
     #: attached by the binding database so the code generator can route
     #: IR operands to instruction registers via ``operand_map``.
     field_map: Optional[Dict[str, str]] = None
-    #: SHA-256 of the analysis trace that derived this binding (wall
-    #: times excluded) — the provenance stamp linking a compiler's
-    #: instruction repertoire back to a replayable derivation.
+    #: ``digest()`` of the analysis trace that derived this binding,
+    #: which is also the trace object's name in the provenance store —
+    #: the stamp linking a compiler's instruction repertoire back to a
+    #: replayable derivation.
     trace_digest: Optional[str] = None
 
     def register_for(self, field: str) -> str:

@@ -606,11 +606,12 @@ def _record_verdicts(
     Only ``ok`` results are stored: an errored or timed-out entry must
     be re-attempted on the next run, never replayed from the cache.
     The full two-sided analysis trace (``traces``: the one each entry's
-    job built when it replayed; durations stripped, so equal
-    derivations share one object) is stored as an object of its own,
-    before the verdict artifact that names it by digest: a store hit
-    reads only the verdict, and ``repro replay`` follows the reference
-    to re-check the derivation later.
+    job built when it replayed) is stored as an object of its own, its
+    :meth:`~repro.provenance.AnalysisTrace.fields`, so the object's
+    name is the derivation digest and equal derivations share one
+    object.  It lands before the verdict artifact that names it in
+    ``trace``: a store hit reads only the verdict, and ``repro replay``
+    follows the reference to re-check the derivation later.
     """
     from ..provenance import STORE_SCHEMA
 
@@ -624,9 +625,7 @@ def _record_verdicts(
         }
         trace = traces.get(result.name)
         if trace is not None:
-            stored = trace.to_stored_dict()
-            payload["trace"] = store.put_object(stored)
-            payload["trace_digest"] = stored["digest"]
+            payload["trace"] = store.put_object(trace.fields())
         store.record_verdict(keys[result.name], payload)
 
 

@@ -169,7 +169,3 @@ class AnalysisSession:
             operator=self.operator.trace(),
             instruction_trace=self.instruction.trace(),
         )
-
-    def log(self) -> str:
-        """Combined step log of both sides."""
-        return "\n".join([self.operator.log(), self.instruction.log()])

@@ -20,7 +20,6 @@ from functools import lru_cache
 from ..analysis import Binding, BindingLibrary
 from ..analyses import AnalysisSpec, codegen_specs
 from ..lint import LintGateError, lint_binding
-from ..provenance import analysis_trace_digest
 
 
 def _binding_from(spec: AnalysisSpec) -> Binding:
@@ -34,9 +33,7 @@ def _binding_from(spec: AnalysisSpec) -> Binding:
     binding = dataclasses.replace(
         outcome.binding,
         field_map=field_map,
-        trace_digest=(
-            analysis_trace_digest(trace) if trace is not None else None
-        ),
+        trace_digest=trace.digest() if trace is not None else None,
     )
     # No binding whose constraints contradict its own descriptions may
     # enter a compiler's instruction repertoire.

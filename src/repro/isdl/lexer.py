@@ -105,7 +105,14 @@ class Lexer:
                     kind, value = _PUNCT[lexeme]
                     result.append(Token(kind, value, location))
                 elif group == "number":
-                    result.append(Token(TokenKind.NUMBER, int(lexeme), location))
+                    try:
+                        value = int(lexeme)
+                    except ValueError:  # past Python's integer string limit
+                        raise LexError(
+                            f"number literal of {len(lexeme)} digits is too long",
+                            location,
+                        ) from None
+                    result.append(Token(TokenKind.NUMBER, value, location))
                 else:
                     result.append(Token(TokenKind.STRING, lexeme, location))
             pos = match.end()

@@ -139,7 +139,6 @@ PARAMS: Dict[str, Param] = {
     "service_out": Param(
         "out", metavar="FILE", help="write the BENCH_service.json payload here"
     ),
-    "cache": Param("cache", bool, False, "benchmark cold vs warm batches"),
     "format": Param("format", default="text", choices=("text", "json")),
     "lint_format": Param("format", default="text", choices=("text", "json", "sarif")),
     "stats_format": Param("format", default="json", choices=("json", "prom")),
@@ -250,7 +249,7 @@ OPERATIONS: Dict[str, Operation] = {op.name: op for op in (
     ),
     _op(
         "bench", "time verification per execution engine",
-        "names trials=240 seed json out cache metrics_out",
+        "names trials=240 seed json out metrics_out",
     ),
     _op(
         "stats", "run an instrumented batch and print its metrics",

@@ -19,13 +19,7 @@ makes those derivations first-class artifacts:
 is the drift gate between analysis scripts and ISDL descriptions.
 """
 
-from .schema import (
-    ANALYSIS_TRACE_SCHEMA,
-    AnalysisTrace,
-    analysis_trace_digest,
-    canonical_json,
-    strip_durations,
-)
+from .schema import ANALYSIS_TRACE_SCHEMA, AnalysisTrace, canonical_json
 from .replay import replay_analysis, stored_trace, trace_for
 from .store import (
     DEFAULT_STORE_DIR,
@@ -43,9 +37,7 @@ __all__ = [
     "trace_for",
     "ANALYSIS_TRACE_SCHEMA",
     "AnalysisTrace",
-    "analysis_trace_digest",
     "canonical_json",
-    "strip_durations",
     "DEFAULT_STORE_DIR",
     "STORE_ENV_VAR",
     "STORE_FILENAME",

@@ -2,12 +2,15 @@
 
 An :class:`AnalysisTrace` packages both sides of one analysis — the
 operator session's trace and the instruction session's trace — with
-the Table 2 identity of the analysis.  It serializes to canonical JSON
-and digests to a single SHA-256 that identifies the *derivation*:
-same descriptions, same steps, same parameters, same digests ⇒ same
-trace digest.  Per-step wall times are observability data and are
-stripped before digesting, so two runs of the same script on machines
-of different speeds produce the same trace digest.
+the Table 2 identity of the analysis.  It is one record with three
+views: :meth:`~AnalysisTrace.fields` (what the provenance store keeps),
+:meth:`~AnalysisTrace.digest` (the SHA-256 of their canonical JSON,
+which identifies the *derivation*: same descriptions, same steps, same
+parameters, same digests ⇒ same trace digest) and
+:meth:`~AnalysisTrace.to_dict` (the fields plus that digest, what
+``repro trace --format json`` prints).  A trace records no wall time,
+so two runs of the same script on machines of different speeds
+produce the same record.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..transform import SessionTrace
 
@@ -30,19 +33,6 @@ def canonical_json(payload: object) -> str:
     )
 
 
-def strip_durations(payload: object) -> object:
-    """A deep copy of ``payload`` with every ``duration`` key removed."""
-    if isinstance(payload, dict):
-        return {
-            key: strip_durations(value)
-            for key, value in payload.items()
-            if key != "duration"
-        }
-    if isinstance(payload, list):
-        return [strip_durations(item) for item in payload]
-    return payload
-
-
 @dataclass(frozen=True)
 class AnalysisTrace:
     """Both sessions' derivations plus the analysis identity."""
@@ -55,9 +45,9 @@ class AnalysisTrace:
     operator: SessionTrace
     instruction_trace: SessionTrace
 
-    def _fields(self) -> Dict[str, object]:
-        """Every field, wall times included; the digest reads them
-        stripped."""
+    def fields(self) -> Dict[str, object]:
+        """The record itself: the object the provenance store keeps,
+        named by its :meth:`digest`."""
         return {
             "schema": ANALYSIS_TRACE_SCHEMA,
             "machine": self.machine,
@@ -69,20 +59,20 @@ class AnalysisTrace:
             "instruction_trace": self.instruction_trace.to_dict(),
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        payload = self._fields()
-        payload["digest"] = _digest(strip_durations(payload))
-        return payload
+    def digest(self) -> str:
+        """Hex SHA-256 of the canonical JSON of :meth:`fields`."""
+        return _digest(self.fields())
 
-    def to_stored_dict(self) -> Dict[str, object]:
-        """``strip_durations(self.to_dict())``, the form the provenance
-        store keeps, with each session's dict built and digested once."""
-        payload = strip_durations(self._fields())
+    def to_dict(self) -> Dict[str, object]:
+        """:meth:`fields` plus their ``digest``."""
+        payload = self.fields()
         payload["digest"] = _digest(payload)
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "AnalysisTrace":
+        """A trace from :meth:`fields` or :meth:`to_dict`; a ``digest``
+        key is ignored, since :meth:`digest` recomputes it."""
         schema = payload.get("schema")
         if schema != ANALYSIS_TRACE_SCHEMA:
             raise ValueError(
@@ -109,15 +99,6 @@ class AnalysisTrace:
         """The combined per-step text log (the pre-provenance format)."""
         return "\n".join([self.operator.log(), self.instruction_trace.log()])
 
-    def digest(self) -> str:
-        return analysis_trace_digest(self)
-
-
-def analysis_trace_digest(trace: AnalysisTrace) -> str:
-    """Hex SHA-256 identifying the derivation (wall times excluded)."""
-    return _digest(strip_durations(trace._fields()))
-
 
 def _digest(fields: Dict[str, object]) -> str:
-    """Hex SHA-256 of a trace's stripped fields."""
     return hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()

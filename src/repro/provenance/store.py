@@ -8,14 +8,15 @@ tables::
                                    ("name", analysis)   -> latest verdict
 
 *Objects* are immutable JSON documents of two kinds.  A verdict
-artifact holds the key that produced it, the JSON-ready result fields
-the batch report needs, and the trace's digest; the two-sided analysis
-trace is an object of its own, which the artifact names by its object
-digest in ``trace``.  A store hit therefore reads only the small
-verdict, and every key of one derivation shares one trace object.
-An object's name is the SHA-256 of its canonical JSON, so equal
-artifacts coincide, and every read re-hashes the stored bytes: a
-corrupted object, or one whose bytes no longer decode, reads as absent.
+artifact holds the key that produced it and the JSON-ready result
+fields the batch report needs; the two-sided analysis trace is an
+object of its own, which the artifact names in ``trace``.  A store hit
+therefore reads only the small verdict, and every key of one
+derivation shares one trace object.  An object's name is the SHA-256
+of its canonical JSON, so equal artifacts coincide and a trace
+object's name is its derivation digest; every read re-hashes the
+stored bytes: a corrupted object, or one whose bytes no longer decode,
+reads as absent.
 
 *Verdict keys* name everything that determines a verdict **without
 running the analysis**: the schema version, the analysis name, the

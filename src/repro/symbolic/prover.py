@@ -299,6 +299,7 @@ def prove_binding(
         max_nodes,
         unroll_budget,
         max_stmts,
+        search_trials,
     )
     cached = _PROVE_CACHE.get(key)
     if cached is not None:

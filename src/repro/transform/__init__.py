@@ -14,7 +14,6 @@ from .engine import (
     ReplayDivergenceError,
     Session,
     SessionTrace,
-    StepRecord,
     TraceEvent,
     format_trace_log,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ReplayDivergenceError",
     "Session",
     "SessionTrace",
-    "StepRecord",
     "TraceEvent",
     "format_trace_log",
     "all_transformations",

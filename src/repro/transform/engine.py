@@ -10,8 +10,8 @@ count the session accumulates is what Table 2 reports.
 Since the provenance refactor each recorded step is a
 :class:`TraceEvent` — a versioned, JSON-serializable record carrying
 the transformation name, anchor path, parameters, the constraints the
-step emitted, its wall time, and SHA-256 digests of the description
-before and after the step.  A session's full history exports as a
+step emitted, and SHA-256 digests of the description before and after
+the step.  A session's full history exports as a
 :class:`SessionTrace` (:meth:`Session.trace`) and any trace replays
 against a fresh description with per-step digest checking
 (:meth:`Session.replay`): a replay whose digests drift from the
@@ -29,9 +29,8 @@ ignored); ``occurrence=`` disambiguates repeated subtrees in walk
 from __future__ import annotations
 
 import difflib
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args
+from typing import Dict, List, Optional, Sequence, Tuple, get_args
 
 from ..constraints import (
     Constraint,
@@ -158,9 +157,6 @@ class TraceEvent:
     #: SHA-256 of the description's printed form before/after the step.
     digest_before: str = ""
     digest_after: str = ""
-    #: wall-clock seconds the step took.  Observability only — always
-    #: excluded from trace digests (see repro.provenance.schema).
-    duration: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form; round-trips through :meth:`from_dict`."""
@@ -176,7 +172,6 @@ class TraceEvent:
             "params": {name: _param_to_json(value) for name, value in self.params},
             "digest_before": self.digest_before,
             "digest_after": self.digest_after,
-            "duration": round(self.duration, 6),
         }
 
     @classmethod
@@ -204,12 +199,7 @@ class TraceEvent:
             ),
             digest_before=str(payload["digest_before"]),
             digest_after=str(payload["digest_after"]),
-            duration=float(payload.get("duration", 0.0)),
         )
-
-
-#: Backwards-compatible alias: a step record *is* a trace event now.
-StepRecord = TraceEvent
 
 
 def format_trace_log(label: str, events: Sequence[TraceEvent]) -> str:
@@ -393,9 +383,7 @@ class Session:
         """Apply one transformation; raises TransformError when invalid."""
         transformation = get(transform_name)
         ctx = Context(self.description)
-        started = time.perf_counter()
         result = transformation.apply(ctx, at or (), **params)
-        duration = time.perf_counter() - started
         digest_before = self._digest
         self.description = result.description
         self._digest = description_digest(result.description)
@@ -412,7 +400,6 @@ class Session:
                 params=tuple(sorted(params.items(), key=lambda kv: kv[0])),
                 digest_before=digest_before,
                 digest_after=self._digest,
-                duration=duration,
             )
         )
         return result
@@ -426,11 +413,7 @@ class Session:
             events=tuple(self.history),
         )
 
-    def replay(
-        self,
-        trace: Union[None, SessionTrace, Sequence[TraceEvent]] = None,
-        check_digests: bool = True,
-    ) -> "Session":
+    def replay(self, trace: Optional[SessionTrace] = None) -> "Session":
         """Re-apply a recorded trace to this session's original description.
 
         With no argument, replays this session's own history — recorded
@@ -447,34 +430,19 @@ class Session:
         ISDL descriptions is detected.  Returns the fresh session.
         """
         if trace is None:
-            events: Tuple[TraceEvent, ...] = tuple(self.history)
-            initial_digest: Optional[str] = self._initial_digest
-        elif isinstance(trace, SessionTrace):
-            events = trace.events
-            initial_digest = trace.initial_digest
-        else:
-            events = tuple(trace)
-            initial_digest = None
+            trace = self.trace()
         fresh = Session(self.original, label=f"{self.label} (replay)")
-        if (
-            check_digests
-            and initial_digest
-            and fresh._digest != initial_digest
-        ):
+        if trace.initial_digest and fresh._digest != trace.initial_digest:
             raise ReplayDivergenceError(
                 label=fresh.label,
                 step=0,
                 transform="(source description)",
                 phase="before",
-                expected=initial_digest,
+                expected=trace.initial_digest,
                 actual=fresh._digest,
             )
-        for event in events:
-            if (
-                check_digests
-                and event.digest_before
-                and fresh._digest != event.digest_before
-            ):
+        for event in trace.events:
+            if event.digest_before and fresh._digest != event.digest_before:
                 raise ReplayDivergenceError(
                     label=fresh.label,
                     step=event.index,
@@ -484,11 +452,7 @@ class Session:
                     actual=fresh._digest,
                 )
             fresh.apply(event.transform, at=event.path, **dict(event.params))
-            if (
-                check_digests
-                and event.digest_after
-                and fresh._digest != event.digest_after
-            ):
+            if event.digest_after and fresh._digest != event.digest_after:
                 raise ReplayDivergenceError(
                     label=fresh.label,
                     step=event.index,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analyses import scasb_rigel
 from repro.analysis import RunConfig, run_batch, verify_binding
-from repro.analysis.bench import run_bench, run_cache_bench
+from repro.analysis.bench import run_bench
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +130,8 @@ class TestDeprecatedEntryPoints:
                 ("trials", "seed", "engine"),
             ),
             (lambda **kw: run_bench(["scasb_rigel"], **kw), ("trials", "seed")),
-            (
-                lambda **kw: run_cache_bench(["scasb_rigel"], **kw),
-                ("trials", "seed", "jobs", "cache_dir"),
-            ),
         ],
-        ids=["run_batch", "verify_binding", "run_bench", "run_cache_bench"],
+        ids=["run_batch", "verify_binding", "run_bench"],
     )
     def test_legacy_keywords_are_gone(self, call, keywords):
         for keyword in keywords:

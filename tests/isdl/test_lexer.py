@@ -3,6 +3,7 @@
 import ast as python_ast
 import pathlib
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.isdl import LexError, SourceLocation, parse_expr, tokenize
 from repro.isdl.lexer import Lexer
 from repro.isdl.tokens import KEYWORDS, Token, TokenKind
+
+#: Python's limit on the digits ``int`` reads from a string (0: none).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def kinds(text):
@@ -171,6 +175,15 @@ class TestDigits:
         with pytest.raises(LexError) as raised:
             tokenize("x <- 3\u00b2")
         assert raised.value.location == SourceLocation(1, 7)
+
+    @pytest.mark.skipif(
+        not INT_DIGIT_LIMIT, reason="this interpreter reads integers of any length"
+    )
+    def test_number_past_the_integer_digit_limit_is_a_located_lex_error(self):
+        with pytest.raises(LexError) as raised:
+            parse_expr("1" * (INT_DIGIT_LIMIT + 1))
+        assert raised.value.location == SourceLocation(1, 1)
+        assert "too long" in raised.value.message
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.analyses import locc_clu, scasb_rigel
 from repro.analysis.runner import entry_verdict_key, resolve_names
-from repro.provenance import (
-    STORE_SCHEMA,
-    TraceStore,
-    replay_analysis,
-    strip_durations,
-    trace_for,
-)
+from repro.provenance import STORE_SCHEMA, TraceStore, replay_analysis, trace_for
 from repro.transform import ReplayDivergenceError
 
 
@@ -103,7 +97,7 @@ def plant_trace(store, name, trace_payload, result=None):
 
 def plant_drift(store, name, trace, step_index=2):
     """Record a verdict whose trace lies about one step's digest."""
-    payload = strip_durations(trace.to_dict())
+    payload = trace.fields()
     payload["instruction_trace"]["events"][step_index]["digest_after"] = (
         "0" * 64
     )
@@ -133,9 +127,7 @@ class TestCliGate:
 
     def test_replay_prefers_stored_traces(self, tmp_path, trace, capsys):
         root = tmp_path / "cache"
-        plant_trace(
-            TraceStore(root), "scasb_rigel", strip_durations(trace.to_dict())
-        )
+        plant_trace(TraceStore(root), "scasb_rigel", trace.fields())
         assert main(["replay", "scasb_rigel", "--cache-dir", str(root)]) == 0
         assert "(stored)" in capsys.readouterr().out
 
@@ -182,14 +174,14 @@ class TestTraceForResolution:
 
     def test_stored_wins(self, tmp_path, trace):
         store = TraceStore(tmp_path)
-        plant_trace(store, "scasb_rigel", strip_durations(trace.to_dict()))
+        plant_trace(store, "scasb_rigel", trace.fields())
         got, origin = trace_for(store, "scasb_rigel")
         assert origin == "stored"
         assert got.digest() == trace.digest()
 
     def test_corrupt_stored_trace_falls_back_to_fresh(self, tmp_path, trace):
         store = TraceStore(tmp_path)
-        broken = strip_durations(trace.to_dict())
+        broken = trace.fields()
         broken["schema"] = "something/else"
         plant_trace(store, "scasb_rigel", broken)
         got, origin = trace_for(store, "scasb_rigel")

@@ -174,60 +174,31 @@ class TestWhatGetsStored:
         assert artifact["schema"] == "repro.verdict/2"
         # The trace is its own object; the verdict names it by digest.
         trace = AnalysisTrace.from_dict(store.get_object(artifact["trace"]))
-        assert artifact["trace_digest"] == trace.digest()
+        assert artifact["trace"] == trace.digest()
+        assert "trace_digest" not in artifact
 
     def test_each_fresh_trace_is_digested_once(self, tmp_path, monkeypatch):
-        from repro.provenance import schema
+        from repro.provenance import ANALYSIS_TRACE_SCHEMA, schema, store
 
-        digested = []
-        digest = schema._digest
+        hashed = []
+        digest_text = store._digest_text
 
-        def counting(fields):
-            digested.append(fields)
-            return digest(fields)
+        def counting(text):
+            if json.loads(text).get("schema") == ANALYSIS_TRACE_SCHEMA:
+                hashed.append(text)
+            return digest_text(text)
 
-        monkeypatch.setattr(schema, "_digest", counting)
+        def unexpected(fields):
+            raise AssertionError("a batch hashed a trace outside the store")
+
+        monkeypatch.setattr(store, "_digest_text", counting)
+        monkeypatch.setattr(schema, "_digest", unexpected)
         config = RunConfig(trials=20, cache_dir=tmp_path)
         cold = run_batch(names=NAMES, config=config)
         assert cold.ok
-        assert len(digested) == len(NAMES)  # one per fresh entry
+        assert len(hashed) == len(NAMES)  # one per fresh entry
         run_batch(names=NAMES, config=config)
-        assert len(digested) == len(NAMES)  # a store hit digests nothing
-
-    def test_stored_trace_is_the_canonical_json_of_the_old_build(self, tmp_path):
-        from repro.analysis.runner import _replay
-        from repro.provenance import (
-            ANALYSIS_TRACE_SCHEMA,
-            TraceStore,
-            canonical_json,
-            strip_durations,
-        )
-
-        run_batch(names=["movc3_pc2"], config=RunConfig(trials=20, cache_dir=tmp_path))
-        _, outcome = _replay("movc3_pc2")
-        trace = outcome.trace
-        # Built as the store built it before: the digest over the
-        # stripped session dicts, then strip_durations(to_dict()).
-        fields = {
-            "schema": ANALYSIS_TRACE_SCHEMA,
-            "machine": trace.machine,
-            "instruction": trace.instruction,
-            "language": trace.language,
-            "operation": trace.operation,
-            "operator_name": trace.operator_name,
-            "operator": strip_durations(trace.operator.to_dict()),
-            "instruction_trace": strip_durations(trace.instruction_trace.to_dict()),
-        }
-        digest = hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()
-        text = canonical_json({**fields, "digest": digest})
-        store = TraceStore(tmp_path)
-        try:
-            artifact = store.latest_for("movc3_pc2")
-            assert artifact["trace_digest"] == digest
-            assert artifact["trace"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
-            assert canonical_json(store.get_object(artifact["trace"])) == text
-        finally:
-            store.close()
+        assert len(hashed) == len(NAMES)  # a store hit hashes no trace
 
     def test_pool_mode_populates_the_same_cache(self, tmp_path):
         root = tmp_path / "cache"
@@ -242,6 +213,77 @@ class TestWhatGetsStored:
         assert cold.cache_hits == 0
         assert warm.cache_hits == len(NAMES)
         assert modulo_cache(cold) == modulo_cache(warm)
+
+
+class TestOneRecordPerDerivation:
+    """A stored trace object is its derivation's fields, named by its digest."""
+
+    @pytest.fixture(scope="class")
+    def catalog_store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("catalog-store")
+        assert run_batch(config=RunConfig(trials=8, cache_dir=root)).ok
+        return root
+
+    def test_every_verdict_names_its_trace_by_the_trace_digest(self, catalog_store):
+        from repro.analysis.runner import _replay, resolve_names
+
+        store = provenance.TraceStore(catalog_store)
+        try:
+            for entry in resolve_names(None):
+                trace = _replay(entry.name)[1].trace
+                artifact = store.latest_for(entry.name)
+                assert artifact["trace"] == trace.digest(), entry.name
+                assert "trace_digest" not in artifact, entry.name
+                assert store.get_object(artifact["trace"]) == trace.fields(), entry.name
+        finally:
+            store.close()
+
+    def test_trace_json_is_the_same_fresh_and_stored(self, catalog_store, capsys):
+        from repro.__main__ import main
+        from repro.analysis.runner import resolve_names
+
+        for entry in resolve_names(None):
+            assert api.trace(entry.name, cache_dir=catalog_store).origin == "stored"
+            printed = []
+            for source in (["--no-cache"], ["--cache-dir", str(catalog_store)]):
+                assert main(["trace", entry.name, "--format", "json", *source]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], entry.name
+
+    def test_a_store_in_the_earlier_layout_still_replays(self, tmp_path):
+        # Earlier stores kept each trace as fields() plus an inner
+        # digest, named by the hash of both, and the verdict carried
+        # that digest a second time as trace_digest.
+        from repro.analysis.runner import _replay, entry_verdict_key, resolve_names
+        from repro.provenance import STORE_SCHEMA, canonical_json
+
+        trace = _replay("scasb_rigel")[1].trace
+        legacy = {**trace.fields(), "digest": trace.digest()}
+        text = canonical_json(legacy).encode("utf-8")
+        entry = next(iter(resolve_names(["scasb_rigel"])))
+        key = entry_verdict_key(entry, "vectorized", 120, 1982, True)
+        store = provenance.TraceStore(tmp_path)
+        try:
+            name = store.put_object(legacy)
+            assert name == hashlib.sha256(text).hexdigest() != trace.digest()
+            store.record_verdict(
+                key,
+                {
+                    "schema": STORE_SCHEMA,
+                    "key": key,
+                    "result": {},
+                    "trace": name,
+                    "trace_digest": trace.digest(),
+                },
+            )
+        finally:
+            store.close()
+        replayed = api.replay(["scasb_rigel"], cache_dir=tmp_path)
+        assert replayed.ok
+        assert [entry.origin for entry in replayed.entries] == ["stored"]
+        recorded = api.trace("scasb_rigel", cache_dir=tmp_path)
+        assert recorded.origin == "stored"
+        assert recorded.digest == trace.digest()
 
 
 class TestPooledTraceHandOff:
@@ -314,33 +356,3 @@ class TestStoreLifetime:
 
         monkeypatch.setattr(provenance.TraceStore, "close", recording_close)
         return closed
-
-
-class TestCacheBench:
-    def test_payload_shape(self):
-        from repro.analysis.bench import CACHE_SCHEMA, run_cache_bench
-
-        payload = run_cache_bench(
-            names=["movc3_pc2", "locc_rigel"],
-            config=RunConfig(trials=12),
-        )
-        assert payload["schema"] == CACHE_SCHEMA
-        assert payload["cold"]["misses"] == 2
-        assert payload["warm"]["hits"] == 2
-        assert payload["reports_identical_modulo_cache"] is True
-        assert payload["speedup"] is not None
-
-    def test_committed_artifact_in_sync(self):
-        import pathlib
-
-        from repro.analysis.bench import CACHE_SCHEMA
-
-        path = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "BENCH_provenance.json"
-        )
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == CACHE_SCHEMA
-        assert payload["entries"] == 20
-        assert payload["warm"]["hits"] == 20
-        assert payload["reports_identical_modulo_cache"] is True

@@ -1,17 +1,12 @@
 """Analysis-trace schema: round-trips, digest stability, versioning."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.analyses import locc_rigel, movc3_sassign_failure
-from repro.provenance import (
-    ANALYSIS_TRACE_SCHEMA,
-    AnalysisTrace,
-    analysis_trace_digest,
-    canonical_json,
-    strip_durations,
-)
+from repro.provenance import ANALYSIS_TRACE_SCHEMA, AnalysisTrace, canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +22,10 @@ class TestRoundTrip:
         assert clone.log() == trace.log()
         assert clone.digest() == trace.digest()
 
-    def test_round_trip_survives_duration_stripping(self, trace):
-        payload = strip_durations(trace.to_dict())
-        clone = AnalysisTrace.from_dict(payload)
-        assert clone.digest() == trace.digest()
-        assert all(
-            event.duration == 0.0
-            for event in clone.operator.events + clone.instruction_trace.events
-        )
+    def test_fields_round_trip(self, trace):
+        clone = AnalysisTrace.from_dict(trace.fields())
+        assert clone == trace
+        assert clone.fields() == trace.fields()
 
     def test_schema_tag_present_and_versioned(self, trace):
         payload = trace.to_dict()
@@ -58,20 +49,19 @@ class TestRoundTrip:
 
 class TestDigest:
     def test_digest_is_hex_sha256(self, trace):
-        digest = analysis_trace_digest(trace)
+        digest = trace.digest()
         assert len(digest) == 64
         int(digest, 16)
 
-    def test_digest_ignores_wall_times(self, trace):
-        slow_operator = dataclasses.replace(
-            trace.operator,
-            events=tuple(
-                dataclasses.replace(event, duration=event.duration + 1.0)
-                for event in trace.operator.events
-            ),
-        )
-        slow = dataclasses.replace(trace, operator=slow_operator)
-        assert analysis_trace_digest(slow) == analysis_trace_digest(trace)
+    def test_three_views_of_one_record(self, trace):
+        fields = trace.fields()
+        digest = hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()
+        assert trace.digest() == digest
+        assert trace.to_dict() == {**fields, "digest": digest}
+
+    def test_a_step_records_no_wall_time(self, trace):
+        events = trace.operator.to_dict()["events"]
+        assert events and all("duration" not in event for event in events)
 
     def test_digest_sees_step_content(self, trace):
         events = list(trace.operator.events)
@@ -80,7 +70,7 @@ class TestDigest:
             trace,
             operator=dataclasses.replace(trace.operator, events=tuple(events)),
         )
-        assert analysis_trace_digest(tampered) != analysis_trace_digest(trace)
+        assert tampered.digest() != trace.digest()
 
     def test_fresh_runs_agree(self):
         first = locc_rigel.run(verify=False).trace
@@ -93,12 +83,3 @@ class TestCanonicalJson:
         assert canonical_json({"b": 1, "a": 2}) == canonical_json(
             {"a": 2, "b": 1}
         )
-
-    def test_strip_durations_recurses(self):
-        payload = {
-            "duration": 1,
-            "keep": [{"duration": 2, "x": 3}],
-            "nested": {"duration": 4, "y": {"duration": 5}},
-        }
-        stripped = strip_durations(payload)
-        assert stripped == {"keep": [{"x": 3}], "nested": {"y": {}}}

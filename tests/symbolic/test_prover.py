@@ -186,6 +186,23 @@ class TestBudgetsAndCache:
         )
         assert other is not first
 
+    @pytest.mark.parametrize("default_first", [False, True], ids=["fresh", "after_default"])
+    def test_search_trials_is_part_of_the_key(self, scasb_binding, default_first):
+        # Only the counterexample search can refute: with no search
+        # trials the same binding proves unknown, whatever ran before.
+        tampered = tamper(
+            scasb_binding,
+            lambda node: isinstance(node, ast.Output),
+            lambda node: ast.Output(
+                (ast.BinOp("+", node.exprs[0], ast.Const(1)),) + node.exprs[1:]
+            ),
+        )
+        clear_prove_cache()
+        if default_first:
+            assert prove_binding(tampered, scasb_rigel.SCENARIO).verdict == REFUTED
+        report = prove_binding(tampered, scasb_rigel.SCENARIO, search_trials=0)
+        assert report.verdict == UNKNOWN
+
     def test_equal_content_hits_across_objects(self):
         clear_prove_cache()
         first = movsb_pascal.run(verify=False).binding

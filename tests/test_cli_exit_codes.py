@@ -5,6 +5,8 @@ Every subcommand follows the same mapping (documented in
 silently invent its own convention.
 """
 
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -123,6 +125,19 @@ class TestFindings:
         assert main(["lint", str(path)]) == 1
         assert "8:24: unexpected character '\u00b2'" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter reads integers of any length",
+    )
+    def test_lint_locates_a_number_past_the_integer_digit_limit(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "long_number.isdl"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(CLEAN_ISDL.replace("al <- al + 1", f"al <- al + {digits}"))
+        assert main(["lint", str(path)]) == 1
+        assert "8:24: number literal of" in capsys.readouterr().err
+
     def test_analyze_documented_failure(self, capsys):
         assert main(["analyze", "movc3_sassign_failure", "--no-verify"]) == 1
 
@@ -132,10 +147,10 @@ class TestFindings:
         # diagnostics themselves are pinned in tests/provenance.
         from repro.analyses import scasb_rigel
         from repro.analysis.runner import entry_verdict_key, resolve_names
-        from repro.provenance import STORE_SCHEMA, TraceStore, strip_durations
+        from repro.provenance import STORE_SCHEMA, TraceStore
 
         trace = scasb_rigel.run(verify=False).trace
-        payload = strip_durations(trace.to_dict())
+        payload = trace.fields()
         payload["instruction_trace"]["events"][1]["digest_after"] = "0" * 64
         entry = next(iter(resolve_names(["scasb_rigel"])))
         key = entry_verdict_key(entry, "vectorized", 120, 1982, True)

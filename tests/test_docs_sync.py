@@ -74,12 +74,11 @@ def test_lint_docs_mention_only_registered_codes():
 
 
 def test_provenance_docs_cover_schemas_and_layout():
-    from repro.analysis.bench import CACHE_SCHEMA
     from repro.provenance import ANALYSIS_TRACE_SCHEMA, STORE_SCHEMA
     from repro.transform.engine import TRACE_SCHEMA
 
     text = (DOCS / "provenance.md").read_text()
-    for tag in (ANALYSIS_TRACE_SCHEMA, STORE_SCHEMA, TRACE_SCHEMA, CACHE_SCHEMA):
+    for tag in (ANALYSIS_TRACE_SCHEMA, STORE_SCHEMA, TRACE_SCHEMA):
         assert f"`{tag}`" in text, tag
     for table in ("`objects`", "`pointers`"):
         assert f"| {table} |" in text, table
@@ -195,7 +194,6 @@ def test_api_docs_cover_migration_contract():
         "run_batch",
         "verify_binding",
         "run_bench",
-        "run_cache_bench",
         "byte-identical",
     ):
         assert needle in text, needle

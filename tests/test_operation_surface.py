@@ -60,7 +60,6 @@ CLI_SURFACE = {
         ("--seed", "seed", 1982, "int", None, None, None),
         ("--json", "json", False, None, None, 0, None),
         ("--out", "out", None, None, None, None, None),
-        ("--cache", "cache", False, None, None, 0, None),
         ("--metrics-out", "metrics_out", None, None, None, None, "FILE"),
     ],
     "stats": [
@@ -182,7 +181,7 @@ def test_cli_surface_is_pinned(monkeypatch):
     assert list(got) == list(CLI_SURFACE)
     for name, rows in CLI_SURFACE.items():
         assert got[name] == rows, name
-    assert sum(len(rows) for rows in got.values()) == 76
+    assert sum(len(rows) for rows in got.values()) == 75
 
 
 def test_http_surface_is_pinned():
