@@ -9,6 +9,7 @@ for catching performance regressions in the engine.
 import pytest
 
 from repro.analyses import scasb_rigel
+from repro.analysis import RunConfig
 from repro.codegen import ir, target_for
 from repro.isdl import parse_description
 from repro.machines.i8086 import descriptions as i8086
@@ -72,7 +73,7 @@ def test_apply_guarded_transformation(benchmark):
 
 
 def test_full_analysis_replay(benchmark):
-    outcome = benchmark(scasb_rigel.run, verify=False)
+    outcome = benchmark(scasb_rigel.run, RunConfig(verify=False))
     assert outcome.succeeded
 
 

@@ -9,14 +9,14 @@ Printed as a Table-2-style summary.
 import pytest
 
 from repro.analyses import EXTENSIONS
-from repro.analysis import format_table, table2_row
+from repro.analysis import RunConfig, format_table, table2_row
 
 from conftest import banner
 
 
 def test_extensions_table(benchmark):
     def run_all():
-        return [module.run(verify=True, trials=40) for module in EXTENSIONS]
+        return [module.run(RunConfig(trials=40)) for module in EXTENSIONS]
 
     outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [table2_row(outcome) for outcome in outcomes]

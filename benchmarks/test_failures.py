@@ -14,6 +14,7 @@ from repro.analyses import (
     movc3_sassign_extension,
     movc3_sassign_failure,
 )
+from repro.analysis import RunConfig
 
 from conftest import banner
 
@@ -36,7 +37,7 @@ def test_eclipse_failure(benchmark):
 
 
 def test_section7_extension(benchmark):
-    outcome = benchmark(movc3_sassign_extension.run, verify=True, trials=40)
+    outcome = benchmark(movc3_sassign_extension.run, RunConfig(trials=40))
     print(banner("§7 extension: movc3/sassign under the no-overlap fact"))
     assert outcome.succeeded, outcome.failure
     print(f"result: SUCCEEDED in {outcome.steps} steps")

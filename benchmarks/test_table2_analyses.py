@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from repro.analyses import REGISTRY, TABLE2
-from repro.analysis import format_table, table2_row
+from repro.analysis import RunConfig, format_table, table2_row
 
 from conftest import banner
 
@@ -23,7 +23,7 @@ PAPER_STEPS = {spec.name: spec.paper_steps for spec in REGISTRY if spec.group ==
 @pytest.fixture(scope="module")
 def outcomes():
     return {
-        module.__name__.rsplit(".", 1)[-1]: module.run(verify=True, trials=40)
+        module.__name__.rsplit(".", 1)[-1]: module.run(RunConfig(trials=40))
         for module in TABLE2
     }
 
@@ -33,7 +33,7 @@ def outcomes():
 )
 def test_analysis_row(benchmark, module):
     """Each row is one recorded analysis, replayed and verified."""
-    outcome = benchmark(module.run, verify=False)
+    outcome = benchmark(module.run, RunConfig(verify=False))
     assert outcome.succeeded, outcome.failure
     assert outcome.steps > 0
 

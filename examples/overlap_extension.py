@@ -13,15 +13,18 @@ complicated constraints that involve more than one operand."
 
 The paper's proposed fix (§7): teach the analyzer *source language
 characteristics* — Pascal strings can never overlap, a fact about the
-language rather than any single program.  This example runs the
-analysis both ways and then shows the consequence for generated code:
-without the fact, a VAX compiler decomposes every plain string move;
-with it, movc3 is generated.
+language rather than any single program.  The two analysis modules
+hold the same inputs and the same script; the extension adds only
+``LANGUAGE_FACTS = (NO_OVERLAP,)``, and ``run_analysis`` plays both.  This
+example runs the analysis both ways and then shows the consequence for
+generated code: without the fact, a VAX compiler decomposes every
+plain string move; with it, movc3 is generated.
 
     python examples/overlap_extension.py
 """
 
 from repro.analyses import movc3_sassign_extension, movc3_sassign_failure
+from repro.analysis import RunConfig
 from repro.codegen import ir, target_for
 
 
@@ -33,7 +36,7 @@ def main() -> None:
     print(f"  {outcome.failure}\n")
 
     print("=== with the no-overlap language fact (§7) ===\n")
-    repaired = movc3_sassign_extension.run(trials=200)
+    repaired = movc3_sassign_extension.run(RunConfig(trials=200))
     assert repaired.succeeded, repaired.failure
     print(f"analysis SUCCEEDED in {repaired.steps} steps")
     print(f"verified: {repaired.verification}\n")

@@ -11,13 +11,14 @@ which is then executed on the cycle-costed 8086 simulator.
 """
 
 from repro.analyses import scasb_rigel
+from repro.analysis import RunConfig
 from repro.codegen import ir, target_for
 from repro.isdl import format_description
 
 
 def main() -> None:
     print("=== 1. run the analysis (73 steps in the 1982 system) ===\n")
-    outcome = scasb_rigel.run(verify=True, trials=200)
+    outcome = scasb_rigel.run(RunConfig(trials=200))
     assert outcome.succeeded, outcome.failure
     print(outcome.binding.describe())
     print(f"\ndifferential check: {outcome.verification}")

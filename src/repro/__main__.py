@@ -52,7 +52,7 @@ def cmd_table2(args, _result) -> int:
     rows = []
     ok = True
     for spec in (s for s in REGISTRY if s.group == "table2"):
-        outcome = spec.module.run(verify=args.verify, trials=args.trials)
+        outcome = spec.module.run(args.config)
         ok = ok and outcome.succeeded
         rows.append(table2_row(outcome) + (str(spec.paper_steps),))
     headers = ("Machine", "Instruction", "Language", "Operation", "Steps", "Paper")
@@ -288,6 +288,7 @@ def _symbolic_lint_reports():
     """
     import importlib
 
+    from .analysis import RunConfig
     from .analysis.runner import catalog
     from .lint import LintReport, lint_binding_symbolic
 
@@ -296,7 +297,7 @@ def _symbolic_lint_reports():
         if entry.expect_failure or not entry.has_scenario:
             continue
         module = importlib.import_module(f"repro.analyses.{entry.name}")
-        outcome = module.run(verify=False)
+        outcome = module.run(RunConfig(verify=False))
         if not outcome.succeeded or outcome.binding is None:
             continue
         diagnostics = lint_binding_symbolic(outcome.binding, module.SCENARIO)

@@ -7,6 +7,12 @@ validates every step's guards, the matcher proves the final forms
 identical modulo renaming, and the differential verifier executes both
 descriptions on randomized machine states.
 
+A module is data and a script — its row, its input descriptions and
+the script — and its ``run(config=None)`` is
+:func:`~repro.analyses.common.run_analysis` bound to it: one function
+runs every analysis, and every caller passes its whole
+:class:`~repro.analysis.RunConfig`.
+
 The per-row *metadata* — the paper's step count for Table 2, the
 IR-field routing map the code generator needs, and which machine
 library a binding belongs to — lives here, in one declarative

@@ -10,14 +10,11 @@ one byte) and vanishes — mirroring how the hardware has no Z preset.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import pascal
 from ..machines.ibm370 import descriptions as ibm370
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 
 INFO = AnalysisInfo(
     machine="IBM 370",
@@ -84,11 +81,4 @@ def script(session: AnalysisSession) -> None:
     operator.apply("eliminate_dead_assignment", at=operator.stmt("eq <- 1;"))
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -16,14 +16,11 @@ constant to propagate.  The attempt below fails on exactly that guard.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import pascal
 from ..machines.eclipse import descriptions as eclipse
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 
 INFO = AnalysisInfo(
     machine="DG Eclipse",
@@ -74,11 +71,4 @@ def script(session: AnalysisSession) -> None:
     )
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -10,14 +10,11 @@ relative ease: 32 for CLU vs. 33 for Rigel.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import clu
 from ..machines.vax11 import descriptions as vax11
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 from .locc_rigel import augment_locc
 
 INFO = AnalysisInfo(
@@ -104,11 +101,4 @@ def script(session: AnalysisSession) -> None:
     transform_indexc(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -15,14 +15,11 @@ post-loop read of the pointer (``swap_increment_with_exit``).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import rigel
 from ..machines.vax11 import descriptions as vax11
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 
 INFO = AnalysisInfo(
     machine="VAX-11",
@@ -136,11 +133,4 @@ def script(session: AnalysisSession) -> None:
     transform_index(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -6,7 +6,8 @@ condition is a property of Pascal and can never be violated by any
 Pascal program.  Thus, the analysis system is the appropriate place to
 deal with it" (paper §4.3/§7).
 
-This module re-runs the movc3/sassign analysis with the ``no-overlap``
+This module is the movc3/sassign analysis — the same inputs and the
+same script — with the ``no-overlap``
 :class:`~repro.constraints.LanguageFact` declared.  The fact discharges
 the complex constraint, ``select_forward_copy`` resolves movc3's
 direction branch, and the analysis completes — verified differentially
@@ -15,17 +16,15 @@ on (non-overlapping, as Pascal guarantees) randomized states.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisOutcome
 from ..constraints import LanguageFact
-from ..semantics.engine import ExecutionEngine
 from . import movc3_sassign_failure
+from .common import bind
 
 INFO = movc3_sassign_failure.INFO
 OPERATOR = movc3_sassign_failure.OPERATOR
 INSTRUCTION = movc3_sassign_failure.INSTRUCTION
 SCENARIO = movc3_sassign_failure.SCENARIO
+script = movc3_sassign_failure.script
 
 #: Pascal strings can never overlap — a property of the source
 #: language, declared rather than proven.
@@ -34,12 +33,7 @@ NO_OVERLAP = LanguageFact(
     description="Pascal string variables never overlap in storage",
 )
 
+#: the facts the session holds: ``require_no_overlap`` is discharged.
+LANGUAGE_FACTS = (NO_OVERLAP,)
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return movc3_sassign_failure.run(
-        verify=verify, trials=trials, language_facts=(NO_OVERLAP,), engine=engine
-    )
+run = bind(__name__)

@@ -20,15 +20,11 @@ no-overlap property a *language fact* lives in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
-from ..constraints import LanguageFact
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import pascal
 from ..machines.vax11 import descriptions as vax11
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 
 INFO = AnalysisInfo(
     machine="VAX-11",
@@ -108,20 +104,4 @@ def script(session: AnalysisSession) -> None:
     operator.apply("swap_statements", at=operator.stmt("dp <- dp + 1;"))
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    language_facts: Sequence[LanguageFact] = (),
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO,
-        OPERATOR(),
-        INSTRUCTION(),
-        script,
-        SCENARIO,
-        verify,
-        trials,
-        language_facts=language_facts,
-        engine=engine,
-    )
+run = bind(__name__)

@@ -10,14 +10,11 @@ steps than Pascal's (66 vs. 52 in the paper's Table 2).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import pl1
 from ..machines.i8086 import descriptions as i8086
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 from .movsb_pascal import simplify_movsb
 
 INFO = AnalysisInfo(
@@ -111,11 +108,4 @@ def script(session: AnalysisSession) -> None:
     transform_strmove(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -11,14 +11,11 @@ and rotate Pascal's pre-test loop under the resulting assertion.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import pascal
 from ..machines.b4800 import descriptions as b4800
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 from .mvc_pascal import transform_sassign
 
 INFO = AnalysisInfo(
@@ -60,11 +57,4 @@ def script(session: AnalysisSession) -> None:
     transform_sassign(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -12,14 +12,11 @@ computation).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import clu
 from ..machines.i8086 import descriptions as i8086
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 from .scasb_rigel import augment_scasb, simplify_scasb
 
 INFO = AnalysisInfo(
@@ -141,11 +138,4 @@ def script(session: AnalysisSession) -> None:
     transform_indexc(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

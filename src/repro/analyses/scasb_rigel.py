@@ -21,14 +21,11 @@ paper highlights.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import rigel
 from ..machines.i8086 import descriptions as i8086
-from ..semantics.engine import ExecutionEngine
 from ..semantics.randomgen import OperandSpec, ScenarioSpec
-from .common import run_analysis
+from .common import bind
 
 INFO = AnalysisInfo(
     machine="Intel 8086",
@@ -183,11 +180,4 @@ def script(session: AnalysisSession) -> None:
     transform_index(session)
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    return run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, SCENARIO, verify, trials, engine=engine
-    )
+run = bind(__name__)

@@ -19,17 +19,16 @@ scenario generator.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import TYPE_CHECKING, Optional, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from ..analysis import AnalysisInfo, AnalysisOutcome, AnalysisSession
+from ..analysis import AnalysisInfo, AnalysisSession
 from ..languages import listops
 from ..machines.b4800 import descriptions as b4800
-from ..semantics.engine import ExecutionEngine
-from .common import run_analysis
+from .common import bind
 
 if TYPE_CHECKING:
+    from ..analysis import RunConfig
     from ..analysis.verify import VerificationReport
 
 INFO = AnalysisInfo(
@@ -78,20 +77,22 @@ def _random_list_scenario(rng: random.Random) -> Tuple[Dict[str, int], Dict[int,
     return inputs, memory
 
 
-def verify_list_binding(
-    binding,
-    trials: int = 200,
-    seed: int = 4800,
-    engine: Optional[ExecutionEngine] = None,
-) -> VerificationReport:
-    """Differential testing on randomized linked lists."""
-    from ..analysis.verify import VerificationFailure, VerificationReport
+def verify_list_binding(binding, config: RunConfig) -> VerificationReport:
+    """Differential testing on randomized linked lists.
 
-    resolved = ExecutionEngine.resolve(engine)
-    operator_interp = resolved.executor(binding.final_operator)
-    instruction_interp = resolved.executor(binding.augmented_instruction)
-    rng = random.Random(seed)
-    for _ in range(trials):
+    ``config.trials`` lists are drawn from ``config.seed``.  Each is a
+    single trial, so both descriptions run on the interpreter on
+    either engine, on two executors built once; the report names the
+    plan's engine, as every verification report does.
+    """
+    from ..analysis.verify import VerificationFailure, VerificationReport
+    from ..semantics.engine import ExecutionEngine
+
+    interp = ExecutionEngine("interp")
+    operator_interp = interp.executor(binding.final_operator)
+    instruction_interp = interp.executor(binding.augmented_instruction)
+    rng = random.Random(config.seed)
+    for _ in range(config.trials):
         inputs, memory = _random_list_scenario(rng)
         mapped = {
             binding.operand_map.get(name, name): value
@@ -105,22 +106,12 @@ def verify_list_binding(
                 f"{result_in.outputs}"
             )
     return VerificationReport(
-        trials=trials,
+        trials=config.trials,
         operator_name=binding.final_operator.name,
         instruction_name=binding.augmented_instruction.name,
-        engine=resolved.name,
+        seed=config.seed,
+        engine=config.resolve_engine().name,
     )
 
 
-def run(
-    verify: bool = True,
-    trials: int = 120,
-    engine: Optional[ExecutionEngine] = None,
-) -> AnalysisOutcome:
-    outcome = run_analysis(
-        INFO, OPERATOR(), INSTRUCTION(), script, scenario=None, verify=False
-    )
-    if outcome.succeeded and verify:
-        report = verify_list_binding(outcome.binding, trials=trials, engine=engine)
-        outcome = dataclasses.replace(outcome, verification=report)
-    return outcome
+run = bind(__name__)

@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import UnsupportedConstraintError
 from ..isdl import format_description
-from ..provenance import AnalysisTrace
 from .binding import Binding
 from .matcher import MatchFailure
 
 if TYPE_CHECKING:
+    from ..provenance import AnalysisTrace
     from .verify import VerificationReport
 
 

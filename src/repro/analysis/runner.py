@@ -356,7 +356,7 @@ def _replay(name: str):
     """Replay one analysis script (no verification), memoized per process."""
     with obs.span("replay", analysis=name):
         module = importlib.import_module(f"repro.analyses.{name}")
-        return module, module.run(verify=False)
+        return module, module.run(RunConfig(verify=False))
 
 
 def _clear_replay_cache() -> None:

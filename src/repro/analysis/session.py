@@ -25,15 +25,16 @@ fails on the movc3/sassign overlap exactly as the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .. import obs
 from ..constraints import LanguageFact
 from ..isdl import ast
-from ..provenance import AnalysisTrace
-from ..transform import Session
 from .binding import Binding
-from .matcher import Matcher, MatchFailure
+from .matcher import Matcher
+
+if TYPE_CHECKING:
+    from ..provenance import AnalysisTrace
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class AnalysisSession:
         instruction_desc: ast.Description,
         language_facts: Sequence[LanguageFact] = (),
     ):
+        from ..transform import Session
+
         self.info = info
         self.operator = Session(operator_desc, label=f"{info.language}:{info.operation}")
         self.instruction = Session(
@@ -160,6 +163,8 @@ class AnalysisSession:
         steps it managed to apply, which is exactly what the failure
         narratives print.
         """
+        from ..provenance import AnalysisTrace
+
         return AnalysisTrace(
             machine=self.info.machine,
             instruction=self.info.instruction,

@@ -118,14 +118,12 @@ class AnalyzeResult:
 def analyze(name: str, config: Optional[RunConfig] = None) -> AnalyzeResult:
     """Replay one recorded analysis script end to end.
 
-    ``config`` carries trials/engine for the verification pass; with
-    ``verify=False`` it replays the transformation sequence only.
+    The whole ``config`` is the verification plan: its trials, seed,
+    engine and ``symbolic`` switch reach the verifier as they do in
+    :func:`batch`.  With ``verify=False`` it replays the
+    transformation sequence only.
     """
-    cfg = config if config is not None else RunConfig()
-    outcome = _module_for(name).run(
-        verify=cfg.verify, trials=cfg.trials, engine=cfg.resolve_engine()
-    )
-    return AnalyzeResult(name=name, outcome=outcome)
+    return AnalyzeResult(name=name, outcome=_module_for(name).run(config))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def prove(name: str, *, seed: int = 1982, **budgets) -> ProveResult:
     from .symbolic import prove_binding
 
     module = _module_for(name)
-    outcome = module.run(verify=False)
+    outcome = module.run(RunConfig(verify=False))
     scenario = getattr(module, "SCENARIO", None)
     if not outcome.succeeded or outcome.binding is None:
         return ProveResult(

@@ -17,13 +17,13 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-from ..analysis import Binding, BindingLibrary
+from ..analysis import Binding, BindingLibrary, RunConfig
 from ..analyses import AnalysisSpec, codegen_specs
 from ..lint import LintGateError, lint_binding
 
 
 def _binding_from(spec: AnalysisSpec) -> Binding:
-    outcome = spec.module.run(verify=False)
+    outcome = spec.module.run(RunConfig(verify=False))
     if not outcome.succeeded:
         raise RuntimeError(
             f"analysis {spec.name} failed: {outcome.failure}"

@@ -244,15 +244,15 @@ def run_trial(
     """Replay one differential trial from its coordinates; raises
     :class:`FuzzMismatch` on drift.
 
-    The ISDL side is a single trial, so it runs on the interpreter
-    whichever engine names the trial's seed.
+    The ISDL side is a single trial, so it runs on an interpreter
+    whichever engine names the trial's seed and its messages.
     """
     case = _fuzz_case(machine, case_name)
-    engine = engine or ExecutionEngine()
-    draw = _draw(machine, case, engine.name, trial)
-    executor = engine.executor(load_description(machine, case.name))
+    name = (engine or ExecutionEngine()).name
+    draw = _draw(machine, case, name, trial)
+    executor = ExecutionEngine("interp").executor(load_description(machine, case.name))
     run = executor.run(draw[1], draw[2])
-    _compare(machine, case, engine.name, trial, draw, run)
+    _compare(machine, case, name, trial, draw, run)
 
 
 def run_campaign(

@@ -17,32 +17,24 @@ makes those derivations first-class artifacts:
 ``repro trace`` prints stored or freshly recorded derivations;
 ``repro replay`` re-applies them with per-step digest checking, which
 is the drift gate between analysis scripts and ISDL descriptions.
+
+Each re-exported name loads its module the first time it is read
+(:mod:`repro.exports`), so a store lookup loads neither the replay
+gate nor the transformation library behind it.
 """
 
-from .schema import ANALYSIS_TRACE_SCHEMA, AnalysisTrace, canonical_json
-from .replay import replay_analysis, stored_trace, trace_for
-from .store import (
-    DEFAULT_STORE_DIR,
-    STORE_ENV_VAR,
-    STORE_FILENAME,
-    STORE_SCHEMA,
-    TraceStore,
-    code_epoch,
-    verdict_key,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "replay_analysis",
-    "stored_trace",
-    "trace_for",
-    "ANALYSIS_TRACE_SCHEMA",
-    "AnalysisTrace",
-    "canonical_json",
-    "DEFAULT_STORE_DIR",
-    "STORE_ENV_VAR",
-    "STORE_FILENAME",
-    "STORE_SCHEMA",
-    "TraceStore",
-    "code_epoch",
-    "verdict_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".replay": ("replay_analysis", "stored_trace", "trace_for"),
+    ".schema": ("ANALYSIS_TRACE_SCHEMA", "AnalysisTrace", "canonical_json"),
+    ".store": (
+        "DEFAULT_STORE_DIR",
+        "STORE_ENV_VAR",
+        "STORE_FILENAME",
+        "STORE_SCHEMA",
+        "TraceStore",
+        "code_epoch",
+        "verdict_key",
+    ),
+})

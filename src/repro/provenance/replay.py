@@ -81,8 +81,10 @@ def trace_for(
         return trace, "stored"
     import importlib
 
+    from ..analysis.config import RunConfig
+
     module = importlib.import_module(f"repro.analyses.{name}")
-    outcome = module.run(verify=False)
+    outcome = module.run(RunConfig(verify=False))
     if outcome.trace is None:
         return None, "none"
     return outcome.trace, "fresh"

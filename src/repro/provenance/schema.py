@@ -18,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from ..transform import SessionTrace
+if TYPE_CHECKING:
+    from ..transform import SessionTrace
 
 #: Version tag for the two-sided analysis trace container.
 ANALYSIS_TRACE_SCHEMA = "repro.analysis-trace/1"
@@ -73,6 +74,8 @@ class AnalysisTrace:
     def from_dict(cls, payload: Dict[str, object]) -> "AnalysisTrace":
         """A trace from :meth:`fields` or :meth:`to_dict`; a ``digest``
         key is ignored, since :meth:`digest` recomputes it."""
+        from ..transform import SessionTrace
+
         schema = payload.get("schema")
         if schema != ANALYSIS_TRACE_SCHEMA:
             raise ValueError(

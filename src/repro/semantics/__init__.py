@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "ScenarioSpec",
         "ScenarioStream",
         "derive_seed",
-        "generate_scenario",
         "generate_scenario_at",
         "generate_scenarios",
     ),

@@ -16,7 +16,6 @@ strings for the compare instructions.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -237,16 +236,6 @@ def _draw_scenario(spec: ScenarioSpec, trial_seed: int) -> Scenario:
         else:  # fixed — _layout rejected every other role already
             inputs[name] = lo
     return Scenario(inputs=inputs, memory=memory)
-
-
-def generate_scenario(spec: ScenarioSpec, rng: random.Random) -> Scenario:
-    """Draw one scenario according to ``spec``.
-
-    Address operands are laid out left to right in an arena with
-    ``arena_stride`` spacing so strings never overlap unless the spec
-    explicitly allows it.  Each address gets ``max_length`` random bytes.
-    """
-    return _draw_scenario(spec, rng.getrandbits(64))
 
 
 def _pin_corner(spec: ScenarioSpec, scenario: Scenario, index: int) -> Scenario:
@@ -505,10 +494,6 @@ class ScenarioStream:
             )
             for index in range(count)
         )
-
-    def take(self, count: int) -> Tuple[Scenario, ...]:
-        """The first ``count`` scenarios of the stream."""
-        return self.window(0, count)
 
     def draw_windows(
         self, windows: Sequence[Tuple[int, int]]

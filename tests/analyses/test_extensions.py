@@ -3,12 +3,13 @@
 import pytest
 
 from repro.analyses import EXTENSIONS, clc_pascal, mva_pascal, skpc_pl1, stosb_pc2, tr_pascal
+from repro.analysis import RunConfig
 from repro.codegen import ir, target_for
 
 
 class TestStosb:
     def test_analysis_succeeds_and_verifies(self):
-        outcome = stosb_pc2.run(trials=80)
+        outcome = stosb_pc2.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         fixed = {c.operand: c.value for c in outcome.binding.value_constraints()}
         assert fixed == {"df": 0, "rf": 1, "al": 0}
@@ -46,7 +47,7 @@ class TestStosb:
 
 class TestMvaFootnote5:
     def test_same_coding_constraint_as_mvc(self):
-        outcome = mva_pascal.run(trials=80)
+        outcome = mva_pascal.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         offsets = outcome.binding.offset_constraints()
         assert len(offsets) == 1 and offsets[0].offset == -1
@@ -56,8 +57,8 @@ class TestMvaFootnote5:
     def test_step_count_matches_mvc_script(self):
         from repro.analyses import mvc_pascal
 
-        mva = mva_pascal.run(verify=False)
-        mvc = mvc_pascal.run(verify=False)
+        mva = mva_pascal.run(RunConfig(verify=False))
+        mvc = mvc_pascal.run(RunConfig(verify=False))
         # The footnote-5 point: the *same* analysis discharges both
         # machines' encodings (one reorder step differs: mvc's operand
         # order needed rearranging, mva's matches as authored).
@@ -66,13 +67,13 @@ class TestMvaFootnote5:
 
 def test_all_extensions_run():
     for module in EXTENSIONS:
-        outcome = module.run(verify=False)
+        outcome = module.run(RunConfig(verify=False))
         assert outcome.succeeded, f"{module.__name__}: {outcome.failure}"
 
 
 class TestClc:
     def test_same_coding_constraint_family(self):
-        outcome = clc_pascal.run(trials=80)
+        outcome = clc_pascal.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         offsets = outcome.binding.offset_constraints()
         assert len(offsets) == 1 and offsets[0].offset == -1
@@ -113,7 +114,7 @@ class TestClc:
 
 class TestSkpc:
     def test_span_analysis(self):
-        outcome = skpc_pl1.run(trials=80)
+        outcome = skpc_pl1.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         assert outcome.binding.operand_map == {
             "C": "char", "Max": "len", "S": "addr"
@@ -122,7 +123,7 @@ class TestSkpc:
 
 class TestTranslate:
     def test_analysis_with_nested_index_pattern(self):
-        outcome = tr_pascal.run(trials=80)
+        outcome = tr_pascal.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         offsets = outcome.binding.offset_constraints()
         assert len(offsets) == 1 and offsets[0].offset == -1

@@ -8,6 +8,7 @@ from repro.analyses import (
     movc3_sassign_failure,
     srl_listsearch,
 )
+from repro.analysis import RunConfig
 from repro.constraints import LanguageFact
 
 
@@ -19,13 +20,14 @@ class TestMovc3Sassign:
         assert "no-overlap" in outcome.failure or "multiple operands" in outcome.failure
 
     def test_extension_completes_and_verifies(self):
-        outcome = movc3_sassign_extension.run(trials=60)
+        outcome = movc3_sassign_extension.run(RunConfig(trials=60))
         assert outcome.succeeded, outcome.failure
         assert outcome.verification.trials == 60
 
-    def test_extension_requires_the_right_fact(self):
+    def test_extension_requires_the_right_fact(self, monkeypatch):
         wrong = LanguageFact("strings-are-ascii", "irrelevant fact")
-        outcome = movc3_sassign_failure.run(language_facts=(wrong,))
+        monkeypatch.setattr(movc3_sassign_extension, "LANGUAGE_FACTS", (wrong,))
+        outcome = movc3_sassign_extension.run()
         assert not outcome.succeeded
 
 
@@ -42,7 +44,7 @@ class TestEclipse:
 
 class TestB4800ListSearch:
     def test_link_field_first_constraint(self):
-        outcome = srl_listsearch.run(trials=80)
+        outcome = srl_listsearch.run(RunConfig(trials=80))
         assert outcome.succeeded, outcome.failure
         fixed = {
             c.operand: c.value for c in outcome.binding.value_constraints()
@@ -50,6 +52,6 @@ class TestB4800ListSearch:
         assert fixed == {"LinkOff": 0}
 
     def test_differentially_verified_on_linked_lists(self):
-        outcome = srl_listsearch.run(trials=80)
+        outcome = srl_listsearch.run(RunConfig(trials=80))
         assert outcome.verification is not None
         assert outcome.verification.trials == 80

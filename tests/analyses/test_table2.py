@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from repro.analyses import TABLE2
+from repro.analysis import RunConfig
 from repro.constraints import OffsetConstraint, RangeConstraint, ValueConstraint
 
 TRIALS = 60
@@ -37,7 +38,7 @@ def spearman_rho(xs, ys):
 @pytest.fixture(scope="module")
 def outcomes():
     return {
-        module.__name__.rsplit(".", 1)[-1]: module.run(verify=True, trials=TRIALS)
+        module.__name__.rsplit(".", 1)[-1]: module.run(RunConfig(trials=TRIALS))
         for module in TABLE2
     }
 

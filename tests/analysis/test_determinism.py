@@ -22,7 +22,7 @@ def _spec():
 
 @pytest.fixture(scope="module")
 def binding():
-    outcome = scasb_rigel.run(verify=False)
+    outcome = scasb_rigel.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 

@@ -1,6 +1,6 @@
 """Reporting-layer tests."""
 
-from repro.analysis import AnalysisOutcome, format_table, full_report, table2_row
+from repro.analysis import AnalysisOutcome, RunConfig, format_table, full_report, table2_row
 from repro.analysis.verify import VerificationReport
 
 
@@ -48,7 +48,7 @@ class TestOutcomeViews:
     def test_successful_outcome_report(self):
         from repro.analyses import movc3_pc2
 
-        outcome = movc3_pc2.run(verify=False)
+        outcome = movc3_pc2.run(RunConfig(verify=False))
         report = full_report(outcome)
         assert "binding:" in report
         assert "movc3.instruction := begin" in report
@@ -57,7 +57,7 @@ class TestOutcomeViews:
     def test_verification_shown(self):
         from repro.analyses import movc3_pc2
 
-        outcome = movc3_pc2.run(verify=True, trials=20)
+        outcome = movc3_pc2.run(RunConfig(trials=20))
         report = full_report(outcome)
         assert "verified:" in report
         assert "20 randomized states" in str(outcome.verification)
@@ -65,7 +65,7 @@ class TestOutcomeViews:
     def test_log_attached(self):
         from repro.analyses import movc3_pc2
 
-        outcome = movc3_pc2.run(verify=False)
+        outcome = movc3_pc2.run(RunConfig(verify=False))
         assert outcome.log is not None
         assert "swap_comparison" in outcome.log
 
@@ -74,7 +74,7 @@ class TestTraceBackedLog:
     def test_log_renders_from_structured_trace(self):
         from repro.analyses import locc_rigel
 
-        outcome = locc_rigel.run(verify=False)
+        outcome = locc_rigel.run(RunConfig(verify=False))
         assert outcome.trace is not None
         assert outcome.log == outcome.trace.log()
 
@@ -82,14 +82,14 @@ class TestTraceBackedLog:
         from repro.analyses import locc_rigel
         from repro.provenance import AnalysisTrace
 
-        trace = locc_rigel.run(verify=False).trace
+        trace = locc_rigel.run(RunConfig(verify=False)).trace
         clone = AnalysisTrace.from_dict(trace.to_dict())
         assert clone.log() == trace.log()
 
     def test_failed_outcome_keeps_partial_trace_log(self):
         from repro.analyses import movc3_sassign_failure
 
-        outcome = movc3_sassign_failure.run(verify=False)
+        outcome = movc3_sassign_failure.run(RunConfig(verify=False))
         assert not outcome.succeeded
         assert outcome.trace is not None
         assert outcome.log is not None
@@ -116,7 +116,7 @@ class TestTable2Edges:
     def test_rows_with_mixed_outcomes_align(self):
         from repro.analyses import movc3_pc2
 
-        ok = movc3_pc2.run(verify=False)
+        ok = movc3_pc2.run(RunConfig(verify=False))
         bad = make_outcome(failure="TransformError: nope")
         text = format_table(
             [table2_row(ok), table2_row(bad)],

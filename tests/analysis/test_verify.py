@@ -12,7 +12,7 @@ from repro.isdl.visitor import replace_at, walk
 
 @pytest.fixture(scope="module")
 def binding():
-    outcome = scasb_rigel.run(verify=False)
+    outcome = scasb_rigel.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 
@@ -49,7 +49,7 @@ def test_tampered_memory_effect_caught():
     """A memory-effect difference (not just outputs) is caught."""
     from repro.analyses import movsb_pascal
 
-    outcome = movsb_pascal.run(verify=False)
+    outcome = movsb_pascal.run(RunConfig(verify=False))
     binding = outcome.binding
     instruction = binding.augmented_instruction
     # Make the destination pointer stride by 2: every other byte lands

@@ -15,7 +15,7 @@ from repro.analysis.bench import run_bench
 
 @pytest.fixture(scope="module")
 def binding():
-    outcome = scasb_rigel.run(verify=False)
+    outcome = scasb_rigel.run(RunConfig(verify=False))
     assert outcome.binding is not None
     return outcome.binding
 
@@ -130,8 +130,12 @@ class TestDeprecatedEntryPoints:
                 ("trials", "seed", "engine"),
             ),
             (lambda **kw: run_bench(["scasb_rigel"], **kw), ("trials", "seed")),
+            (
+                lambda **kw: scasb_rigel.run(**kw),
+                ("verify", "trials", "engine", "language_facts"),
+            ),
         ],
-        ids=["run_batch", "verify_binding", "run_bench"],
+        ids=["run_batch", "verify_binding", "run_bench", "analysis_run"],
     )
     def test_legacy_keywords_are_gone(self, call, keywords):
         for keyword in keywords:

@@ -195,8 +195,8 @@ class TestBindingsDbGate:
             __name__ = "fake_analysis"
 
             @staticmethod
-            def run(verify=True):
-                assert not verify
+            def run(config=None):
+                assert not config.verify
                 return FakeOutcome
 
         from repro.analyses import AnalysisSpec

@@ -2,12 +2,13 @@
 
 from repro import obs
 from repro.analyses import movsb_pascal
+from repro.analysis import RunConfig
 from repro.lint import clear_lint_cache, lint_binding
 from repro.lint import engine as lint_engine
 
 
 def fresh_binding():
-    outcome = movsb_pascal.run(verify=False)
+    outcome = movsb_pascal.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 

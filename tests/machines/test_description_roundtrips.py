@@ -59,9 +59,10 @@ def test_has_unique_entry_routine(name):
 def test_analysis_replay_is_deterministic():
     """Replaying a script twice produces structurally identical results."""
     from repro.analyses import scasb_rigel
+    from repro.analysis import RunConfig
 
-    first = scasb_rigel.run(verify=False)
-    second = scasb_rigel.run(verify=False)
+    first = scasb_rigel.run(RunConfig(verify=False))
+    second = scasb_rigel.run(RunConfig(verify=False))
     assert structurally_equal(
         first.binding.augmented_instruction,
         second.binding.augmented_instruction,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.analyses import locc_clu, scasb_rigel
+from repro.analysis import RunConfig
 from repro.analysis.runner import entry_verdict_key, resolve_names
 from repro.provenance import STORE_SCHEMA, TraceStore, replay_analysis, trace_for
 from repro.transform import ReplayDivergenceError
@@ -21,7 +22,7 @@ from repro.transform import ReplayDivergenceError
 
 @pytest.fixture(scope="module")
 def trace():
-    return scasb_rigel.run(verify=False).trace
+    return scasb_rigel.run(RunConfig(verify=False)).trace
 
 
 class TestApiGate:
@@ -33,7 +34,7 @@ class TestApiGate:
 
         for entry in resolve_names(None):
             module = importlib.import_module(f"repro.analyses.{entry.name}")
-            outcome = module.run(verify=False)
+            outcome = module.run(RunConfig(verify=False))
             assert outcome.trace is not None, entry.name
             replay_analysis(
                 outcome.trace, module.OPERATOR(), module.INSTRUCTION()

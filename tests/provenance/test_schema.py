@@ -6,12 +6,13 @@ import hashlib
 import pytest
 
 from repro.analyses import locc_rigel, movc3_sassign_failure
+from repro.analysis import RunConfig
 from repro.provenance import ANALYSIS_TRACE_SCHEMA, AnalysisTrace, canonical_json
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return locc_rigel.run(verify=False).trace
+    return locc_rigel.run(RunConfig(verify=False)).trace
 
 
 class TestRoundTrip:
@@ -39,7 +40,7 @@ class TestRoundTrip:
             AnalysisTrace.from_dict(payload)
 
     def test_failed_analysis_still_exports_a_trace(self):
-        outcome = movc3_sassign_failure.run(verify=False)
+        outcome = movc3_sassign_failure.run(RunConfig(verify=False))
         assert not outcome.succeeded
         trace = outcome.trace
         assert trace is not None
@@ -73,8 +74,8 @@ class TestDigest:
         assert tampered.digest() != trace.digest()
 
     def test_fresh_runs_agree(self):
-        first = locc_rigel.run(verify=False).trace
-        second = locc_rigel.run(verify=False).trace
+        first = locc_rigel.run(RunConfig(verify=False)).trace
+        second = locc_rigel.run(RunConfig(verify=False)).trace
         assert first.digest() == second.digest()
 
 

@@ -390,7 +390,7 @@ class TestDifferentialGate:
         from repro.analyses import scasb_rigel
         from repro.analysis import verify_binding
 
-        outcome = scasb_rigel.run(verify=False)
+        outcome = scasb_rigel.run(RunConfig(verify=False))
         assert outcome.succeeded
         with pytest.raises(EngineMismatchError):
             verify_binding(

@@ -14,7 +14,7 @@ from repro.isdl.visitor import replace_at, walk
 
 @pytest.fixture(scope="module")
 def binding():
-    outcome = movsb_pascal.run(verify=False)
+    outcome = movsb_pascal.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 
@@ -62,7 +62,7 @@ class TestVerifyFastPath:
             assert report.confirmed_trials == CONFIRM_TRIALS
 
     def test_refuted_binding_fails_through_callers_engine(self):
-        outcome = scasb_rigel.run(verify=False)
+        outcome = scasb_rigel.run(RunConfig(verify=False))
         instruction = outcome.binding.augmented_instruction
         target = None
         for path, node in walk(instruction):

@@ -28,14 +28,14 @@ ENGINES = ("interp", "vectorized")
 
 @pytest.fixture(scope="module")
 def movsb_binding():
-    outcome = movsb_pascal.run(verify=False)
+    outcome = movsb_pascal.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 
 
 @pytest.fixture(scope="module")
 def scasb_binding():
-    outcome = scasb_rigel.run(verify=False)
+    outcome = scasb_rigel.run(RunConfig(verify=False))
     assert outcome.succeeded
     return outcome.binding
 
@@ -145,7 +145,7 @@ class TestPlantedDefects:
     def test_wrong_copy_source(self):
         # mvc copies from the destination instead of the source: the
         # loop shape is untouched, only the byte moved per pass.
-        outcome = mvc_pascal.run(verify=False)
+        outcome = mvc_pascal.run(RunConfig(verify=False))
         assert outcome.succeeded
         tampered = tamper(
             outcome.binding,
@@ -205,8 +205,8 @@ class TestBudgetsAndCache:
 
     def test_equal_content_hits_across_objects(self):
         clear_prove_cache()
-        first = movsb_pascal.run(verify=False).binding
-        second = movsb_pascal.run(verify=False).binding
+        first = movsb_pascal.run(RunConfig(verify=False)).binding
+        second = movsb_pascal.run(RunConfig(verify=False)).binding
         assert first is not second
         assert prove_binding(first, movsb_pascal.SCENARIO) is prove_binding(
             second, movsb_pascal.SCENARIO

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import RunConfig
 
 CLEAN_ISDL = """
 demo.instruction := begin
@@ -149,7 +150,7 @@ class TestFindings:
         from repro.analysis.runner import entry_verdict_key, resolve_names
         from repro.provenance import STORE_SCHEMA, TraceStore
 
-        trace = scasb_rigel.run(verify=False).trace
+        trace = scasb_rigel.run(RunConfig(verify=False)).trace
         payload = trace.fields()
         payload["instruction_trace"]["events"][1]["digest_after"] = "0" * 64
         entry = next(iter(resolve_names(["scasb_rigel"])))

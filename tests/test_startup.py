@@ -1,10 +1,11 @@
 """One-shot commands load only the code they run.
 
 ``python -m repro --help`` and ``list`` run no analysis, and a warm
-``batch`` only looks verdicts up: none of them draws a scenario, builds
-an executor or proves anything, so none may load numpy, the vectorized
-engine, the prover or the HTTP service.  Each command runs in a fresh
-interpreter that records ``sys.modules`` as it exits.
+``batch`` only looks verdicts up: none of them replays a script, draws
+a scenario, builds an executor or proves anything, so none may load
+the transformation library, numpy, the vectorized engine, the prover
+or the HTTP service.  Each command runs in a fresh interpreter that
+records ``sys.modules`` as it exits.
 """
 
 import json
@@ -21,7 +22,13 @@ from repro.analysis.runner import run_batch
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: modules no command here may load.
-UNUSED = ("numpy", "repro.semantics.vectorized", "repro.symbolic", "repro.service")
+UNUSED = (
+    "numpy",
+    "repro.semantics.vectorized",
+    "repro.symbolic",
+    "repro.service",
+    "repro.transform",
+)
 
 #: child prelude: run ``python -m repro ARGV``, then write the names of
 #: every loaded module to the file named by the first argument.

@@ -26,6 +26,7 @@ from typing import Dict, Iterator, Tuple
 import pytest
 
 from repro.analyses import REGISTRY
+from repro.analysis import RunConfig
 from repro.transform import Session
 
 GOLDEN = pathlib.Path(__file__).with_name("catalog_step_digests.json")
@@ -53,7 +54,7 @@ def catalog_records() -> Dict[str, Dict[str, object]]:
     """Every catalog analysis's two side records, in catalog order."""
     records = {}
     for spec in REGISTRY:
-        trace = spec.module.run(verify=False).trace
+        trace = spec.module.run(RunConfig(verify=False)).trace
         records[spec.name] = {
             side: side_record(getattr(trace, attribute))
             for side, attribute in SIDES
@@ -65,7 +66,7 @@ def replayed_forms() -> Iterator[Tuple[str, str, int, object]]:
     """``(analysis, side, step, description)`` for every form a catalog
     replay passes through, the input description being step 0."""
     for spec in REGISTRY:
-        trace = spec.module.run(verify=False).trace
+        trace = spec.module.run(RunConfig(verify=False)).trace
         for side, attribute in SIDES:
             session = Session(getattr(spec.module, FACTORIES[side])())
             yield spec.name, side, 0, session.description

@@ -12,7 +12,7 @@ to the end.
 import pytest
 
 from repro.analyses import TABLE2
-from repro.analysis import AnalysisSession
+from repro.analysis import AnalysisSession, RunConfig
 from repro.semantics import ExecutionEngine
 from repro.semantics.randomgen import generate_scenarios
 
@@ -29,7 +29,7 @@ ENGINE = ExecutionEngine()
 )
 def test_script_steps_preserve_semantics(module):
     """The composed operator-side transformation is the identity."""
-    outcome = module.run(verify=False)
+    outcome = module.run(RunConfig(verify=False))
     assert outcome.succeeded, outcome.failure
     binding = outcome.binding
 
